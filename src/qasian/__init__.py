@@ -14,8 +14,8 @@ from .grid import (MarketParams, GridSpec, OperatorSet, make_grid,
                    build_C_eta1, build_C_eta2, build_A1, build_A2,
                    build_rhs, build_operators, assemble_system,
                    eta_nodes, tau1_nodes, psi0)
-from .circuits import (StateVector, BlockEncoding, cyclic_shift, shift_state,
-                       lcu, build_ctau1_encoding, encode_diagonal,
+from .circuits import (StateVector, BlockEncoding, cyclic_shift, lcu,
+                       build_ctau1_encoding, encode_diagonal,
                        encode_eta, encode_spectral, be_product, be_lincomb,
                        be_apply)
 from .inversion import (QPEConfig, PreconditionReport, window_state,

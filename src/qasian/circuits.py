@@ -67,28 +67,12 @@ class BlockEncoding:
         return self.alpha * self.unitary[:d, :d]
 
 
-def identity_encoding(dim):
-    """Trivial exact encoding of the identity."""
-    return BlockEncoding(np.eye(dim, dtype=complex), 1.0, 0, 0.0)
-
-
-def encoding_from_unitary(U):
-    """Wrap an exact unitary as an alpha = 1 encoding with no ancillas."""
-    U = np.asarray(U, dtype=complex)
-    return BlockEncoding(U, 1.0, 0, 0.0)
-
-
 def cyclic_shift(n, w):
     """Permutation |x> -> |x + w mod 2^n> as a dense matrix."""
     N = 2 ** n
     if abs(w) >= N:
         raise ValidationError(f"|w| must be < 2^{n}")
     return np.roll(np.eye(N), w, axis=0)
-
-
-def shift_state(amplitudes, w):
-    """Apply the cyclic shift to amplitudes in O(2^n) without a matrix."""
-    return np.roll(np.asarray(amplitudes), w)
 
 
 def lcu(terms, dim_system):
@@ -172,21 +156,6 @@ def build_ctau1_encoding(spec):
         (1j / (2 * delta), S @ IY @ S.T),
         (-1j / (4 * delta), S @ _multi_controlled_y(n, +1) @ S.T),
         (+1j / (4 * delta), S @ _multi_controlled_y(n, -1) @ S.T),
-    ]
-    return lcu(terms, N)
-
-
-def build_ctau1_periodic_encoding(spec):
-    """Periodic variant: first two terms only; corners are -+1/(2 delta)."""
-    n = spec.n_tau1
-    N = 2 ** n
-    delta = spec.delta_tau1
-    Y = np.array([[0.0, -1j], [1j, 0.0]])
-    IY = np.kron(np.eye(N // 2), Y)
-    S = cyclic_shift(n, 1)
-    terms = [
-        (1j / (2 * delta), IY),
-        (1j / (2 * delta), S @ IY @ S.T),
     ]
     return lcu(terms, N)
 

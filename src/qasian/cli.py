@@ -48,8 +48,6 @@ DEFAULT_CONFIG = {
         "seed": 1,
         "cn_refine": 8,      # oracle grid = refine x quantum grid
     },
-    "mode": "exact-inversion",
-    "dense_cap": grid.DENSE_CAP,
     "outdir": "qasian-out",
     "kink_shift": 0.0,
 }
@@ -89,7 +87,10 @@ def load_config(path=None, preset=None, overrides=None):
 
 
 def _market(cfg):
-    return grid.MarketParams(**cfg["params"])
+    try:
+        return grid.MarketParams(**cfg["params"])
+    except TypeError as exc:  # unknown or missing key, or a non-number
+        raise ValidationError(f"params: {exc}") from exc
 
 
 def _spec(cfg, params):
@@ -367,7 +368,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("build", help="build and export the discrete operators")
-    sub.add_parser("solve", help="assemble, precondition and solve")
+    sub.add_parser("solve", help="precondition and solve")
     sub.add_parser("extract", help="solve and extract the psi surface")
     sub.add_parser("price", help="full pipeline ending in a price quote")
     sub.add_parser("compare", help="pipeline price vs Monte-Carlo")

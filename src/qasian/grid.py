@@ -34,13 +34,11 @@ Conventions used throughout the package:
 from dataclasses import dataclass
 import json
 import math
+import numbers
 
 import numpy as np
 
-from .errors import DimensionCapError, InfeasibleScaleError, ValidationError
-
-#: Largest total dimension for which dense operators are materialized.
-DENSE_CAP = 2 ** 12
+from .errors import InfeasibleScaleError, ValidationError
 
 #: Extrapolation weights of the tau1 = T ghost slice on the slices
 #: N-3, N-2, N-1 (slice -1 is tau1 = 0): psi_N = sum_j END_GHOST[j] psi_{N-3+j}.
@@ -71,9 +69,8 @@ class MarketParams:
     kind: str = "avg_rate_call"
 
     def __post_init__(self):
-        if self.sigma <= 0 and self.kind:  # sigma == 0 allowed only for oracles
-            if self.sigma < 0:
-                raise ValidationError("sigma must be >= 0")
+        if self.sigma < 0:  # sigma == 0 is allowed for the oracles
+            raise ValidationError("sigma must be >= 0")
         if self.T <= 0:
             raise ValidationError("T must be > 0")
         if self.eta_max <= 0:
@@ -127,7 +124,13 @@ class OperatorSet:
     norm_b: float
 
 
+def _check_integer(name, n):
+    if not isinstance(n, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {n!r}")
+
+
 def _check_n_eta(n_eta):
+    _check_integer("n_eta", n_eta)
     if n_eta < 2 or 2 ** n_eta % 4 != 0:
         raise ValidationError(
             "n_eta must be >= 2 so the eta point count is divisible by 4 "
@@ -149,6 +152,10 @@ def make_grid(params, n_eta, eps_target, scale_c=1.0, band=1.5, c_smooth=1.0,
     holds.
     """
     _check_n_eta(n_eta)
+    if not (math.isfinite(params.sigma) and params.sigma > 0):
+        # the target time step below scales as 1/sigma^2
+        raise ValidationError(
+            f"sigma must be finite and > 0, got {params.sigma!r}")
     if not 0 < eps_target < 1:
         raise ValidationError("eps_target must lie in (0, 1)")
     log_term = math.log(1.0 / eps_target)
@@ -188,8 +195,11 @@ def grid_spec_direct(params, n_eta, n_tau1, eps_target=1e-3, Delta=None):
     register sizes; skips the spacing-band search of make_grid.
     """
     _check_n_eta(n_eta)
+    _check_integer("n_tau1", n_tau1)
     if n_tau1 < 1:
         raise ValidationError("n_tau1 must be >= 1")
+    if not math.isfinite(params.sigma):
+        raise ValidationError(f"sigma must be finite, got {params.sigma!r}")
     delta_hat = 2.0 / 2 ** n_eta
     if Delta is None:
         Delta = params.T / 4.0
@@ -413,7 +423,7 @@ def build_operators(spec, params, kink_shift=0.0):
     )
 
 
-def assemble_system(spec, params, kink_shift=0.0, dense_cap=DENSE_CAP):
+def assemble_system(spec, params, kink_shift=0.0):
     """Assemble the dense linear system and its A/B split.
 
     Returns (M, rhs_hat, A, B) with Ct = delta_tau1*(C_tau1 + C_close)
@@ -421,11 +431,10 @@ def assemble_system(spec, params, kink_shift=0.0, dense_cap=DENSE_CAP):
         M = Ct (x) I  +  I (x) (C_eta1 + C_eta2)
         A = I (x) A2
         B = Ct (x) A1^-1  +  I (x) A1^-1 C_eta2
-    so that A + B = (I (x) A1^-1) M.
+    so that A + B = (I (x) A1^-1) M.  The pipeline never forms these;
+    this is the dense reference that tests hold inversion.SpaceTimeSystem
+    against.
     """
-    if spec.dim > dense_cap:
-        raise DimensionCapError(
-            f"dense dimension {spec.dim} exceeds cap {dense_cap}")
     ops = build_operators(spec, params, kink_shift=kink_shift)
     It = np.eye(spec.N_tau1)
     Ix = np.eye(spec.N_eta)

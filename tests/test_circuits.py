@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 import qasian as qa
-from qasian.circuits import (encoding_from_unitary, identity_encoding,
-                             build_ctau1_periodic_encoding)
 from qasian.errors import PostSelectionWarning, ValidationError
 from qasian.grid import eta_hat_diagonal
 
@@ -38,12 +36,6 @@ class TestCyclicShift:
     def test_w0_identity(self):
         assert np.array_equal(qa.cyclic_shift(3, 0), np.eye(8))
 
-    def test_state_action_matches_matrix(self):
-        rng = np.random.default_rng(0)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        assert np.allclose(qa.shift_state(amps, 3),
-                           qa.cyclic_shift(3, 3) @ amps)
-
 
 class TestCtau1Encoding:
     def test_projection_matches_matrix(self):
@@ -62,14 +54,6 @@ class TestCtau1Encoding:
             N = spec.N_tau1
             assert abs(proj[0, N - 1]) < 1e-13
             assert abs(proj[N - 1, 0]) < 1e-13
-
-    def test_periodic_variant_corners(self):
-        spec = qa.grid_spec_direct(params(), 2, 3)
-        proj = build_ctau1_periodic_encoding(spec).top_block()
-        N = spec.N_tau1
-        inv2d = 1.0 / (2 * spec.delta_tau1)
-        assert proj[0, N - 1] == pytest.approx(-inv2d, abs=1e-12)
-        assert proj[N - 1, 0] == pytest.approx(inv2d, abs=1e-12)
 
     def test_unitary(self):
         spec = qa.grid_spec_direct(params(), 2, 3)
@@ -136,7 +120,7 @@ class TestComposition:
     def test_product_with_identity(self):
         spec = qa.grid_spec_direct(params(), 2, 2)
         u = qa.build_ctau1_encoding(spec)
-        prod = qa.be_product(u, identity_encoding(4))
+        prod = qa.be_product(u, qa.BlockEncoding(np.eye(4), 1.0, 0, 0.0))
         assert prod.alpha == u.alpha
         assert prod.err == u.err
         assert np.max(np.abs(prod.top_block() - u.top_block())) < 1e-12
@@ -151,19 +135,19 @@ class TestComposition:
         assert bl.n_anc == 1
 
     def test_product_of_random_unitaries(self):
-        u = encoding_from_unitary(random_unitary(4, 1))
-        v = encoding_from_unitary(random_unitary(4, 2))
+        u = qa.BlockEncoding(random_unitary(4, 1), 1.0, 0, 0.0)
+        v = qa.BlockEncoding(random_unitary(4, 2), 1.0, 0, 0.0)
         prod = qa.be_product(u, v)
         assert np.max(np.abs(prod.top_block()
                              - u.top_block() @ v.top_block())) < 1e-12
 
     def test_lincomb_trivial_weights(self):
-        u = encoding_from_unitary(random_unitary(4, 3))
-        bl = qa.be_lincomb(1.0, u, 0.0, identity_encoding(4))
+        u = qa.BlockEncoding(random_unitary(4, 3), 1.0, 0, 0.0)
+        eye = qa.BlockEncoding(np.eye(4), 1.0, 0, 0.0)
+        bl = qa.be_lincomb(1.0, u, 0.0, eye)
         assert bl.alpha == pytest.approx(1.0)
         assert np.max(np.abs(bl.top_block() - u.top_block())) < 1e-12
-        half = qa.be_lincomb(0.5, identity_encoding(4), 0.5,
-                             identity_encoding(4))
+        half = qa.be_lincomb(0.5, eye, 0.5, eye)
         assert half.alpha == pytest.approx(1.0)
         assert np.max(np.abs(half.top_block() - np.eye(4))) < 1e-12
 
@@ -216,7 +200,7 @@ def _dilate(A):
 class TestBeApply:
     def test_identity(self):
         st = qa.StateVector(np.array([1, 0, 0, 0], dtype=complex))
-        out, prob = qa.be_apply(identity_encoding(4), st)
+        out, prob = qa.be_apply(qa.BlockEncoding(np.eye(4), 1.0, 0, 0.0), st)
         assert prob == pytest.approx(1.0)
         assert np.allclose(out.amplitudes, st.amplitudes)
 

@@ -3,12 +3,19 @@ import os
 
 import pytest
 
-from qasian import cli
+from qasian import cli, grid
 from qasian.errors import ValidationError
 
 
 def run(tmp_path, *argv):
     return cli.main(["--outdir", str(tmp_path), *argv])
+
+
+def run_config(tmp_path, config, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return cli.main(["--outdir", str(tmp_path / "out"),
+                     "--config", str(cfg), command])
 
 
 class TestConfig:
@@ -71,6 +78,15 @@ class TestCommands:
         assert desc["n_anc"] == 2
         assert (tmp_path / "encoding_ctau1.csv").exists()
 
+    def test_price_dim_8192(self, tmp_path, capsys):
+        # sigma = 1, n_eta = 6 resolves n_tau1 = 7: 128 x 64 unknowns
+        code = run_config(tmp_path, {"params": {"sigma": 1.0}, "n_eta": 6},
+                          "price")
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["grid"]["n_tau1"] == 7
+        assert summary["condition"]["bound_satisfied"] is True
+
     def test_converge_levels(self, tmp_path, capsys):
         code = run(tmp_path, "--preset", "smoke", "converge", "--levels", "3")
         assert code == 0
@@ -99,6 +115,26 @@ class TestExitCodes:
         code = cli.main(["--outdir", str(tmp_path / "out"),
                          "--config", str(cfg), "build"])
         assert code == 2
+
+    @pytest.mark.parametrize("config", [
+        {"params": {"sigma": 0.0}},
+        {"params": {"vol": 0.5}},
+        {"n_eta": "4"},
+    ], ids=["zero-sigma", "unknown-param", "string-n-eta"])
+    def test_malformed_config(self, tmp_path, capsys, config):
+        assert run_config(tmp_path, config, "price") == 2
+        assert "validation error" in capsys.readouterr().err
+
+    def test_dimension_cap(self, tmp_path, capsys, monkeypatch):
+        # sigma = 1, n_eta = 8 resolves 2^11 x 2^8 unknowns, past the cap;
+        # the run stops before any operator is built
+        def no_build(*args, **kwargs):
+            raise AssertionError("operators built past the dimension cap")
+        monkeypatch.setattr(grid, "build_operators", no_build)
+        code = run_config(tmp_path, {"params": {"sigma": 1.0}, "n_eta": 8},
+                          "price")
+        assert code == 3
+        assert "exceeds cap" in capsys.readouterr().err
 
     def test_overfull_node_request(self, tmp_path, capsys):
         # pin a register layout whose fit is impossible: more nodes than

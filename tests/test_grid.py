@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 import qasian as qa
-from qasian.errors import InfeasibleScaleError, ValidationError, DimensionCapError
+from qasian.errors import InfeasibleScaleError, ValidationError
 from qasian.grid import eta_hat_diagonal, eta_from_pauli
 
 
@@ -269,9 +269,3 @@ class TestAssemble:
             errs.append(float(np.max(np.abs(surf - ref))))
         assert all(b < a for a, b in zip(errs, errs[1:])), errs
         assert errs[-1] < errs[0] / 4, errs
-
-    def test_dimension_cap(self):
-        p = params()
-        spec = qa.grid_spec_direct(p, 4, 3)
-        with pytest.raises(DimensionCapError):
-            qa.assemble_system(spec, p, dense_cap=16)

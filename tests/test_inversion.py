@@ -136,6 +136,46 @@ class TestPrecondition:
         assert np.linalg.norm(M @ x - rhs_hat) < 1e-9
 
 
+def _dense_reference(spec, p, kink_shift):
+    """Solution and report from the dense assembled system."""
+    M, rhs_hat, A, B = qa.assemble_system(spec, p, kink_shift=kink_shift)
+    W = np.eye(spec.dim) + np.linalg.solve(A, B)
+    return (np.linalg.solve(M, rhs_hat),
+            qa.inversion.condition_report(A, B, W))
+
+
+class TestSpaceTimeSystem:
+    @pytest.mark.parametrize("market,grid_args,kink_shift", [
+        ({"sigma": 0.5}, (5,), 0.0),                  # dim 256
+        ({"sigma": 0.7, "r": 0.03}, (5,), 0.0),       # dim 512
+        ({"sigma": 1.0}, (5,), 0.0),                  # dim 1024
+        ({"sigma": 1.0}, (4, 1), 0.0),                # N_tau1 = 2
+        ({"sigma": 0.7}, (4, 2), 0.37),               # kink off centre
+    ], ids=["s0.5-256", "s0.7-512", "s1.0-1024", "ntau1-1", "kink-shift"])
+    def test_matches_dense_reference(self, market, grid_args, kink_shift,
+                                     monkeypatch):
+        p = params(**market)
+        if len(grid_args) == 1:
+            spec = qa.make_grid(p, grid_args[0], 1e-3)
+        else:
+            spec = qa.grid_spec_direct(p, *grid_args)
+        with monkeypatch.context() as m:
+            # the structured path forms no dense system
+            for mod, name in ((np, "kron"), (np.linalg, "inv"),
+                              (np.linalg, "cond"),
+                              (qa.grid, "assemble_system")):
+                m.setattr(mod, name, None)
+            x, norm_b, rep = qa.solve_pricing_system(
+                spec, p, kink_shift=kink_shift)
+        x_ref, rep_ref = _dense_reference(spec, p, kink_shift)
+        _, norm_b_ref = qa.build_rhs(spec, p, kink_shift=kink_shift)
+        assert norm_b == norm_b_ref
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        for field in ("kappa_raw", "kappa_W", "C_AB", "C_AB_prime"):
+            got, ref = getattr(rep, field), getattr(rep_ref, field)
+            assert abs(got - ref) <= 1e-10 * ref, field
+
+
 class TestSolveSystem:
     def test_identity(self):
         rhs = np.array([0.3, -0.1, 0.7])
