@@ -10,7 +10,7 @@ Ancilla registers always sit above (more significant than) the system
 register, so the projected block is simply U[:d, :d].
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 import warnings
 
@@ -22,30 +22,15 @@ from .grid import build_centered_dft, eta_hat_diagonal
 
 @dataclass
 class StateVector:
-    """Normalized amplitudes plus a register layout map.
-
-    layout maps register name -> (offset, width) in qubits, offset 0
-    being the least significant qubit.
-    """
+    """Normalized amplitudes of a power-of-two register."""
 
     amplitudes: np.ndarray
-    layout: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         n = self.amplitudes.size
         if n & (n - 1):
             raise ValidationError("amplitude count must be a power of two")
-
-    @property
-    def n_qubits(self):
-        return self.amplitudes.size.bit_length() - 1
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self):
-        return StateVector(self.amplitudes.copy(), dict(self.layout))
 
 
 @dataclass(frozen=True)
@@ -299,7 +284,7 @@ def be_apply(be, state, prob_floor=1e-12):
         normed = np.zeros_like(out)
     else:
         normed = out / math.sqrt(success)
-    return StateVector(normed, dict(state.layout)), success
+    return StateVector(normed), success
 
 
 def encoding_report(be):

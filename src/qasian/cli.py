@@ -46,7 +46,6 @@ DEFAULT_CONFIG = {
         "n_paths": 100000,
         "n_steps": 64,
         "seed": 1,
-        "cn_refine": 8,      # oracle grid = refine x quantum grid
     },
     "outdir": "qasian-out",
     "kink_shift": 0.0,
@@ -95,6 +94,10 @@ def _market(cfg):
 
 def _spec(cfg, params):
     if cfg.get("n_tau1"):
+        # grid_spec_direct accepts a diffusion-free sigma = 0 grid; a
+        # pricing run needs sigma > 0, as make_grid demands below
+        if not params.sigma > 0:
+            raise ValidationError(f"sigma must be > 0, got {params.sigma!r}")
         return grid.grid_spec_direct(params, cfg["n_eta"], cfg["n_tau1"],
                                      eps_target=cfg["eps_target"],
                                      Delta=cfg["extraction"]["Delta"])
@@ -102,6 +105,19 @@ def _spec(cfg, params):
                           scale_c=cfg["scale_c"], band=cfg["band"],
                           c_smooth=cfg["c_smooth"],
                           Delta=cfg["extraction"]["Delta"])
+
+
+def _extraction_cfg(cfg, spec, params):
+    """extract_psi_2d's settings for a run on `spec`.
+
+    When make_grid chose the time register, M_tau1 is clamped to the
+    extraction's time window; a pinned register keeps the request as is.
+    """
+    e = cfg["extraction"]
+    M_tau1 = e["M_tau1"]
+    if not cfg.get("n_tau1"):
+        M_tau1 = min(M_tau1, extraction.time_window(spec)[1])
+    return {"M_eta": e["M_eta"], "M_tau1": M_tau1, "eta_max": params.eta_max}
 
 
 def _estimator(cfg):
@@ -144,18 +160,11 @@ def run_pipeline(cfg):
 
         summary["stage"] = "extract"
         sol_norm = float(np.linalg.norm(psi_tilde))
-        state = circuits.StateVector(psi_tilde / sol_norm,
-                                     {"tau1": (spec.n_eta, spec.n_tau1),
-                                      "eta": (0, spec.n_eta)})
+        state = circuits.StateVector(psi_tilde / sol_norm)
         est = _estimator(cfg)
-        e = cfg["extraction"]
-        ecfg = {"M_eta": e["M_eta"], "M_tau1": e["M_tau1"],
-                "eta_max": params.eta_max}
-        if e["Delta"] is not None:
-            ecfg["Delta"] = e["Delta"]
         scale = norm_b * sol_norm ** 2
-        result = extraction.extract_psi_2d(state, spec, ecfg, est,
-                                           scale=scale)
+        result = extraction.extract_psi_2d(
+            state, spec, _extraction_cfg(cfg, spec, params), est, scale=scale)
         summary["errors"]["extraction_bound"] = result.err_bound
         summary["extraction"] = {"ae_calls": result.ae_calls,
                                  "ae_cost": result.ae_cost}
@@ -269,22 +278,18 @@ def run_convergence(cfg, levels):
     params = _market(cfg)
     rows = []
     for lvl in range(levels):
-        n_eta = cfg["n_eta"] + lvl
-        spec = grid.make_grid(params, n_eta, cfg["eps_target"],
-                              scale_c=cfg["scale_c"], band=cfg["band"],
-                              c_smooth=cfg["c_smooth"])
+        level_cfg = {**cfg, "n_eta": cfg["n_eta"] + lvl, "n_tau1": None}
+        spec = _spec(level_cfg, params)
         psi_tilde, norm_b, _ = inversion.solve_pricing_system(spec, params)
         sol_norm = float(np.linalg.norm(psi_tilde))
         state = circuits.StateVector(psi_tilde / sol_norm)
         est = _estimator(cfg)
-        e = cfg["extraction"]
-        ecfg = {"M_eta": e["M_eta"], "M_tau1": min(e["M_tau1"], spec.N_tau1),
-                "eta_max": params.eta_max}
-        result = extraction.extract_psi_2d(state, spec, ecfg, est,
-                                           scale=norm_b * sol_norm ** 2)
+        result = extraction.extract_psi_2d(
+            state, spec, _extraction_cfg(level_cfg, spec, params), est,
+            scale=norm_b * sol_norm ** 2)
         truth = _direct_readout(psi_tilde, norm_b, spec, result)
         err = float(np.max(np.abs(result.psi_nodes - truth)))
-        rows.append({"n_eta": n_eta, "n_tau1": spec.n_tau1, "error": err,
+        rows.append({"n_eta": spec.n_eta, "n_tau1": spec.n_tau1, "error": err,
                      "ae_calls": result.ae_calls, "ae_cost": result.ae_cost})
     with open(os.path.join(out, "convergence.csv"), "w") as fh:
         fh.write("n_eta,n_tau1,error,ae_calls,ae_cost\n")
@@ -363,7 +368,7 @@ def main(argv=None):
     parser.add_argument("--outdir", help="output directory override")
     parser.add_argument("--n-eta", type=int, dest="n_eta")
     parser.add_argument("--ae-mode", dest="ae_mode",
-                        choices=["exact", "stochastic", "adversarial", "shots"])
+                        choices=extraction.AE_MODES)
     parser.add_argument("--ae-eps", dest="ae_eps", type=float)
     parser.add_argument("--seed", type=int)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -33,6 +33,13 @@ class SegmentationPlan:
     n: int
 
 
+#: Estimator modes, as the CLI's --ae-mode offers them.
+AE_MODES = ("exact", "stochastic", "adversarial")
+
+#: Largest condition number a Chebyshev-Vandermonde fit may have.
+KAPPA_CEILING = 1e8
+
+
 @dataclass
 class AmplitudeEstimator:
     """Square-root-of-probability estimator with error accounting.
@@ -41,23 +48,19 @@ class AmplitudeEstimator:
       exact       - returns sqrt(q) (still logs cost if eps_prime > 0)
       stochastic  - sqrt(q) + uniform(-eps', +eps') noise
       adversarial - sqrt(q) + eps' (worst-case one-sided)
-      shots       - binomial sampling with `shots` draws
     Each call logs a cost of 1/eps_prime (Heisenberg scaling of
-    amplitude estimation) or `shots` in shots mode.
+    amplitude estimation).
     """
 
     mode: str = "exact"
     eps_prime: float = 0.0
     seed: int = 0
-    shots: int = 0
     calls: int = field(default=0, init=False)
     total_cost: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        if self.mode not in ("exact", "stochastic", "adversarial", "shots"):
+        if self.mode not in AE_MODES:
             raise ValidationError(f"unknown estimator mode {self.mode!r}")
-        if self.mode == "shots" and self.shots < 1:
-            raise ValidationError("shots mode needs shots >= 1")
         self._rng = np.random.default_rng(self.seed)
 
     def estimate_sqrt(self, q):
@@ -68,12 +71,8 @@ class AmplitudeEstimator:
             s += self._rng.uniform(-self.eps_prime, self.eps_prime)
         elif self.mode == "adversarial":
             s += self.eps_prime
-        elif self.mode == "shots":
-            s = math.sqrt(self._rng.binomial(self.shots, q) / self.shots)
         self.calls += 1
-        if self.mode == "shots":
-            self.total_cost += self.shots
-        elif self.eps_prime > 0:
+        if self.eps_prime > 0:
             self.total_cost += 1.0 / self.eps_prime
         return min(max(s, 0.0), 1.0)
 
@@ -100,12 +99,23 @@ def plan_segments(x_i, x_f, n):
     return SegmentationPlan(tuple(segments), count, n)
 
 
-def _segment_probability(amps, w, m, n):
-    """Probability of all-zero top-m qubits after shifting by -w."""
-    shifted = np.roll(amps, -w)
-    size = 2 ** (n - m)
-    chunk = shifted[:size]
-    return float(np.real(np.vdot(chunk, chunk)))
+def _estimate_blocks(probs, est):
+    """One amplitude estimation per block probability, in segment order.
+
+    Returns (sum of squared estimates, error bound); each estimate s
+    carries its amplitude error through the squaring as 2 eps' s + eps'^2.
+    """
+    total = 0.0
+    err = 0.0
+    for q in probs:
+        if est.mode != "exact" and q < est.eps_prime ** 2:
+            warnings.warn(
+                f"segment probability {q:.3e} below eps'^2; square-root "
+                "noise dominates", NoiseDominationWarning)
+        s = est.estimate_sqrt(q)
+        total += s * s
+        err += 2 * est.eps_prime * s + est.eps_prime ** 2
+    return total, err
 
 
 def estimate_window_integral(state, x_i, x_f, est, plan=None):
@@ -118,17 +128,11 @@ def estimate_window_integral(state, x_i, x_f, est, plan=None):
     n = amps.size.bit_length() - 1
     if plan is None:
         plan = plan_segments(x_i, x_f, n)
-    total = 0.0
-    err = 0.0
-    for w, m in plan.segments:
-        q = _segment_probability(amps, w, m, n)
-        if est.mode != "exact" and q < est.eps_prime ** 2:
-            warnings.warn(
-                f"segment probability {q:.3e} below eps'^2; square-root "
-                "noise dominates", NoiseDominationWarning)
-        s = est.estimate_sqrt(q)
-        total += s * s
-        err += 2 * est.eps_prime * s + est.eps_prime ** 2
+    # the shift-by-(-w) plus top-m-qubits-zero readout selects the block
+    # [w, w + 2^(n-m)); segments never wrap, so a slice is that block
+    blocks = (amps[w:w + 2 ** (n - m)] for w, m in plan.segments)
+    total, err = _estimate_blocks(
+        (float(np.real(np.vdot(b, b))) for b in blocks), est)
     N = 2 ** n
     return total / N, err / N
 
@@ -140,23 +144,12 @@ def estimate_rectangle(amps, n_t, n_x, t_lo, t_hi, x_lo, x_hi, est):
     segments shifts both registers and measures all-zeros on both top
     blocks jointly, one amplitude estimation per pair.
     """
-    grid = np.asarray(amps).reshape(2 ** n_t, 2 ** n_x)
+    prob = np.abs(np.asarray(amps).reshape(2 ** n_t, 2 ** n_x)) ** 2
     plan_t = plan_segments(t_lo, t_hi, n_t)
     plan_x = plan_segments(x_lo, x_hi, n_x)
-    total = 0.0
-    err = 0.0
-    prob = np.abs(grid) ** 2
-    for wt, mt in plan_t.segments:
-        for wx, mx in plan_x.segments:
-            # the shift-by-(-w) plus top-qubits-zero readout selects the
-            # in-range block [w, w + 2^(n-m)) on each register; segments
-            # never wrap, so a direct slice gives the same probability
-            chunk = prob[wt:wt + 2 ** (n_t - mt), wx:wx + 2 ** (n_x - mx)]
-            q = float(np.sum(chunk))
-            s = est.estimate_sqrt(q)
-            total += s * s
-            err += 2 * est.eps_prime * s + est.eps_prime ** 2
-    return total, err
+    blocks = (prob[wt:wt + 2 ** (n_t - mt), wx:wx + 2 ** (n_x - mx)]
+              for wt, mt in plan_t.segments for wx, mx in plan_x.segments)
+    return _estimate_blocks((float(np.sum(b)) for b in blocks), est)
 
 
 def mock_cheb_nodes(M, N, lo, hi):
@@ -213,13 +206,16 @@ def vandermonde(s_nodes, M):
     return V
 
 
-def fit_interpolant(samples, s_nodes, kappa_ceiling=1e8):
-    """Solve the (perturbed) Chebyshev-Vandermonde system V a = f."""
+def fit_interpolant(samples, s_nodes):
+    """Solve the (perturbed) Chebyshev-Vandermonde system V a = f.
+
+    f may carry further axes after the first; each column is fitted.
+    """
     f = np.asarray(samples)
     M = f.shape[0]
     V = vandermonde(s_nodes, M)
     kappa = np.linalg.cond(V)
-    if kappa > kappa_ceiling:
+    if kappa > KAPPA_CEILING:
         raise IllConditionedError(
             f"interpolation matrix condition {kappa:.3e} exceeds ceiling")
     return np.linalg.solve(V, f)
@@ -262,12 +258,11 @@ def positive_shift_sqrt(values, eps_shift=0.0):
 class Interpolant2D:
     """Tensor Chebyshev fit of the prefix-rectangle integral G(s_t, s_x).
 
-    cheb_coeffs holds standard Chebyshev-basis coefficients of G (axis 0:
-    tau1, axis 1: eta); density_coeffs its mixed derivative, so that
+    density_coeffs holds the standard Chebyshev-basis coefficients (axis
+    0: tau1, axis 1: eta) of the mixed derivative of G, so that
     psi_tilde^2(s_t, s_x) = chebval2d(density_coeffs) * 4/(Nt_win*N_x).
     """
 
-    cheb_coeffs: np.ndarray
     density_coeffs: np.ndarray
     nodes_t: tuple  # (indices, s' values)
     nodes_x: tuple
@@ -297,15 +292,14 @@ class Interpolant2D:
         dens = C.chebval2d(st, sx, self.density_coeffs)
         return self.scale * dens * 4.0 / (self.Nt_win * self.N_x)
 
-    def psi(self, tau1, eta, eps_shift=None):
+    def psi(self, tau1, eta):
         s_t = self.s_of_tau1(tau1)
         s_x = self.s_of_eta(eta)
         if np.any(np.abs(s_x) > 1 + 1e-9) or np.any(s_t < -1 - 1e-9) \
                 or np.any(s_t > 1 + 1e-9):
             raise QasianError("evaluation point outside interpolation domain")
         vals = np.atleast_1d(self.psi_sq(s_t, s_x))
-        eps = self.shift_used if eps_shift is None else eps_shift
-        out = positive_shift_sqrt(vals, eps)
+        out = positive_shift_sqrt(vals, self.shift_used)
         return out if out.size > 1 else float(out[0])
 
     def dpsi(self, tau1, eta):
@@ -344,27 +338,35 @@ class ExtractionResult:
     ae_cost: float
 
 
+def time_window(spec):
+    """(t_lo, Nt_win): the extraction's time slices t_lo..N_tau1-1.
+
+    t_lo is the first interior time index with tau1 = (t+1)*delta_tau1
+    >= spec.Delta.
+    """
+    t_lo = max(0, int(math.ceil(spec.Delta / spec.delta_tau1 - 1.0 - 1e-12)))
+    if t_lo >= spec.N_tau1:
+        raise ValidationError("Delta excludes every interior time node")
+    return t_lo, spec.N_tau1 - t_lo
+
+
 def extract_psi_2d(state, spec, cfg, est, scale=1.0):
     """Recover the psi surface from a solution statevector.
 
-    cfg: mapping with M_eta, M_tau1 and optionally Delta (extraction
-    start time, default spec.Delta) and eps_shift.  `scale` is the
+    cfg: mapping with M_eta, M_tau1 and optionally eta_max (default 1).
+    The time window starts at spec.Delta (time_window).  `scale` is the
     factor (N_b times the squared solution norm) relating squared state
-    amplitudes to psi^2.
+    amplitudes to psi^2.  Negative fitted densities are lifted by the
+    positive shift err_bound before the square root.
     """
     amps = np.asarray(getattr(state, "amplitudes", state))
     if amps.size != spec.dim:
         raise ValidationError("state dimension does not match grid spec")
     M_t = int(cfg["M_tau1"])
     M_x = int(cfg["M_eta"])
-    Delta = cfg.get("Delta", spec.Delta)
     n_t, n_x = spec.n_tau1, spec.n_eta
     N_t, N_x = spec.N_tau1, spec.N_eta
-    # first interior time index with tau1 = (t+1)*delta_tau1 >= Delta
-    t_lo = max(0, int(math.ceil(Delta / spec.delta_tau1 - 1.0 - 1e-12)))
-    if t_lo >= N_t:
-        raise ValidationError("Delta excludes every interior time node")
-    Nt_win = N_t - t_lo
+    t_lo, Nt_win = time_window(spec)
 
     nidx_t, s_t = mock_cheb_nodes(M_t, Nt_win, t_lo, N_t - 1)
     nidx_x, s_x = mock_cheb_nodes(M_x, N_x, 0, N_x - 1)
@@ -377,31 +379,13 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
                 amps, n_t, n_x, t_lo, int(nidx_t[k]), 0, int(nidx_x[l]), est)
             err_G = max(err_G, e)
 
-    if M_t > 1:
-        Vt = vandermonde(s_t, M_t)
-        kt = np.linalg.cond(Vt)
-    if M_x > 1:
-        Vx = vandermonde(s_x, M_x)
-        kx = np.linalg.cond(Vx)
-    ceiling = cfg.get("kappa_ceiling", 1e8)
-    if (M_t > 1 and kt > ceiling) or (M_x > 1 and kx > ceiling):
-        raise IllConditionedError("node snapping left the fit ill-conditioned")
-
     # tensor fit a = Vt^-1 G Vx^-T in the u basis, then fold the basis
     # scalings into standard Chebyshev coefficients of G
-    a = G.copy()
-    if M_t > 1:
-        a = np.linalg.solve(Vt, a)
-    else:
-        # degree-0 axis: represent G as a linear ramp from the empty
-        # rectangle at s=-1, so the derivative returns the mean density
-        a = a / _basis_scales(1)[0]
-    if M_x > 1:
-        a = np.linalg.solve(Vx, a.T).T
-    else:
-        a = a / _basis_scales(1)[0]
+    a = fit_interpolant(fit_interpolant(G, s_t).T, s_x).T
     coeffs = a * np.outer(_basis_scales(M_t), _basis_scales(M_x))
 
+    # a degree-0 axis represents G as a linear ramp from the empty
+    # rectangle at s=-1, so the derivative returns the mean density
     dens = coeffs
     if M_t > 1:
         dens = C.chebder(dens, axis=0)
@@ -421,7 +405,6 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
                  * (M_t ** 2) * (M_x ** 2) * err_G)
 
     interp = Interpolant2D(
-        cheb_coeffs=coeffs,
         density_coeffs=dens,
         nodes_t=(nidx_t, s_t),
         nodes_x=(nidx_x, s_x),
@@ -431,7 +414,7 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
         delta_tau1=spec.delta_tau1,
         eta_max=cfg.get("eta_max", 1.0),
         scale=scale,
-        shift_used=cfg.get("eps_shift", err_bound),
+        shift_used=err_bound,
     )
 
     st_grid, sx_grid = np.meshgrid(s_t, s_x, indexing="ij")

@@ -44,6 +44,9 @@ from .errors import InfeasibleScaleError, ValidationError
 #: N-3, N-2, N-1 (slice -1 is tau1 = 0): psi_N = sum_j END_GHOST[j] psi_{N-3+j}.
 END_GHOST = np.array([1.0, -3.0, 3.0])
 
+#: Largest time register make_grid tries.
+N_TAU1_CAP = 24
+
 KINDS = ("avg_rate_call", "avg_rate_put", "avg_strike_call", "avg_strike_put")
 
 
@@ -73,6 +76,8 @@ class MarketParams:
             raise ValidationError("sigma must be >= 0")
         if self.T <= 0:
             raise ValidationError("T must be > 0")
+        if self.K < 0:
+            raise ValidationError("K must be >= 0")
         if self.eta_max <= 0:
             raise ValidationError("eta_max must be > 0")
         if self.kind not in KINDS:
@@ -139,7 +144,7 @@ def _check_n_eta(n_eta):
 
 
 def make_grid(params, n_eta, eps_target, scale_c=1.0, band=1.5, c_smooth=1.0,
-              n_tau1_cap=24, Delta=None):
+              Delta=None):
     """Choose the smallest feasible time register for a given eta register.
 
     The target time step is t_star = scale_c * delta_hat^2 * ln(1/eps) /
@@ -165,7 +170,7 @@ def make_grid(params, n_eta, eps_target, scale_c=1.0, band=1.5, c_smooth=1.0,
         raise InfeasibleScaleError(
             "degenerate accuracy request: target time step is zero")
     N_eta = 2 ** n_eta
-    for n_tau1 in range(1, n_tau1_cap + 1):
+    for n_tau1 in range(1, N_TAU1_CAP + 1):
         delta_tau1 = params.T / (2 ** n_tau1 + 1)
         ratio = delta_tau1 / t_star
         in_band = ratio <= band
@@ -184,7 +189,7 @@ def make_grid(params, n_eta, eps_target, scale_c=1.0, band=1.5, c_smooth=1.0,
                 eps_target=eps_target,
             )
     raise InfeasibleScaleError(
-        f"no n_tau1 <= {n_tau1_cap} satisfies the spacing band and the "
+        f"no n_tau1 <= {N_TAU1_CAP} satisfies the spacing band and the "
         f"smoothing inequality for n_eta={n_eta}, eps={eps_target}")
 
 

@@ -34,6 +34,9 @@ from . import grid as grid_mod
 #: 2^17 in ~60 s.
 DIM_CAP = 2 ** 16
 
+#: Smallest eigenvalue magnitude fast_invert_exact reciprocates.
+EIGEN_FLOOR = 1e-30
+
 
 @dataclass(frozen=True)
 class QPEConfig:
@@ -42,13 +45,11 @@ class QPEConfig:
     T_HHL : window length (power of two, >= 2)
     t0    : evolution-time scale; estimation error is O(1/t0)
     C     : rotation constant in (0, 1); None -> 0.5/kappa of the input
-    p_fail: target failure rate (drives the T_HHL >= c/sqrt(p_fail) check)
     """
 
     T_HHL: int
     t0: float
     C: float = None
-    p_fail: float = 0.01
 
     def __post_init__(self):
         if self.T_HHL < 2 or self.T_HHL & (self.T_HHL - 1):
@@ -138,7 +139,7 @@ def _a2_eigenvalues(spec):
     return grid_mod.eta_hat_diagonal(spec.n_eta) ** 2 / spec.delta_eta_hat ** 2
 
 
-def fast_invert_exact(kind, spec, params, eigen_floor=1e-30):
+def fast_invert_exact(kind, spec, params):
     """Exact inverse of a fast-forwardable factor.
 
     kind "A1": reciprocal of the position-diagonal entries.
@@ -146,12 +147,12 @@ def fast_invert_exact(kind, spec, params, eigen_floor=1e-30):
     """
     if kind == "A1":
         diag = np.diag(grid_mod.build_A1(spec, params))
-        if np.min(np.abs(diag)) < eigen_floor:
+        if np.min(np.abs(diag)) < EIGEN_FLOOR:
             raise SingularFactorError("A1 eigenvalue below floor")
         return np.diag(1.0 / diag)
     if kind == "A2":
         eig = _a2_eigenvalues(spec)
-        if np.min(np.abs(eig)) < eigen_floor:
+        if np.min(np.abs(eig)) < EIGEN_FLOOR:
             raise SingularFactorError("A2 eigenvalue below floor")
         F = grid_mod.build_centered_dft(spec.n_eta)
         return F.conj().T @ ((1.0 / eig)[:, None] * F)

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from qasian import cli, grid
+from qasian import cli, extraction, grid
 from qasian.errors import ValidationError
 
 
@@ -56,6 +56,20 @@ class TestCommands:
         for name in ("defaults.json", "condition_report.json",
                      "nodes.csv", "surface.csv", "quotes.csv"):
             assert (tmp_path / name).exists(), name
+
+    def test_price_defaults(self, tmp_path, capsys):
+        # sigma = 0.3, n_eta = 4 resolves N_tau1 = 2: M_tau1 = 4 is
+        # clamped to the two-slice extraction window
+        assert run(tmp_path, "price") == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["grid"]["n_tau1"] == 1
+        assert summary["price"]["value"] == pytest.approx(0.0974, abs=1e-4)
+
+    # the parser takes its --ae-mode choices from extraction.AE_MODES
+    @pytest.mark.parametrize("mode", extraction.AE_MODES)
+    def test_price_every_ae_mode(self, tmp_path, capsys, mode):
+        assert run(tmp_path, "--preset", "smoke", "--ae-mode", mode,
+                   "price") == 0
 
     def test_build_artifacts(self, tmp_path):
         code = run(tmp_path, "--preset", "smoke", "build")
@@ -118,9 +132,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("config", [
         {"params": {"sigma": 0.0}},
+        {"params": {"sigma": 0.0}, "n_tau1": 2},
+        {"params": {"K": -1.0}, "extraction": {"M_tau1": 2}},
         {"params": {"vol": 0.5}},
         {"n_eta": "4"},
-    ], ids=["zero-sigma", "unknown-param", "string-n-eta"])
+    ], ids=["zero-sigma", "zero-sigma-pinned-n-tau1", "negative-strike",
+            "unknown-param", "string-n-eta"])
     def test_malformed_config(self, tmp_path, capsys, config):
         assert run_config(tmp_path, config, "price") == 2
         assert "validation error" in capsys.readouterr().err

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import qasian as qa
 import qasian.extraction as ex
-from qasian.errors import ValidationError
+from qasian.errors import NoiseDominationWarning, ValidationError
 
 
 def random_state(n, seed):
@@ -84,6 +86,28 @@ class TestWindowIntegral:
         v, bound = qa.estimate_window_integral(st, 2, 27, est)
         t, _ = qa.estimate_window_integral(st, 2, 27, exact)
         assert abs(v - t) <= bound + 1e-15
+
+
+#: 16 amplitudes whose first eight are zero
+ZERO_HALF = np.r_[np.zeros(8), np.full(8, 8 ** -0.5)].astype(complex)
+
+
+@pytest.mark.parametrize("read", [
+    lambda est: qa.estimate_window_integral(ZERO_HALF, 0, 7, est),
+    # rows 0-1 of the 4 x 4 (time, eta) register: the same zero block
+    lambda est: qa.estimate_rectangle(ZERO_HALF, 2, 2, 0, 1, 0, 3, est),
+], ids=["window", "rectangle"])
+class TestNoiseDomination:
+    def test_stochastic_warns_on_zero_block(self, read):
+        est = qa.AmplitudeEstimator(mode="stochastic", eps_prime=1e-3)
+        with pytest.warns(NoiseDominationWarning):
+            read(est)
+        assert est.calls == 1
+
+    def test_exact_does_not_warn(self, read):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            read(qa.AmplitudeEstimator(mode="exact", eps_prime=1e-3))
 
 
 class TestMockChebNodes:
