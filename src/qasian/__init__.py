@@ -9,9 +9,8 @@ from .errors import (QasianError, ValidationError, InfeasibleScaleError,
                      NodeCollisionError, IllConditionedError)
 from .grid import (MarketParams, GridSpec, OperatorSet, make_grid,
                    grid_spec_direct, build_time_derivative, build_time_closure,
-                   build_eta_operator,
-                   build_centered_dft, build_spectral_derivative,
-                   build_C_eta1, build_C_eta2, build_A1, build_A2,
+                   build_eta_operator, build_centered_dft,
+                   build_spectral_derivative, build_A1, build_A2,
                    build_rhs, build_operators, assemble_system,
                    eta_nodes, tau1_nodes, psi0)
 from .circuits import (StateVector, BlockEncoding, cyclic_shift, lcu,
@@ -25,7 +24,7 @@ from .extraction import (SegmentationPlan, AmplitudeEstimator, Interpolant2D,
                          plan_segments, estimate_window_integral,
                          estimate_rectangle, mock_cheb_nodes, fit_interpolant,
                          differentiate_interpolant, positive_shift_sqrt,
-                         extract_psi_2d, greeks)
+                         extract_psi_2d)
 from .oracle import (PriceQuote, crank_nicolson_solve, monte_carlo_price,
                      price_from_psi, brute_prefix_sum, eta_of)
 

@@ -126,6 +126,18 @@ def _estimator(cfg):
         mode=e["ae_mode"], eps_prime=e["ae_eps"], seed=e["seed"])
 
 
+def _solve_and_read(cfg, spec, params):
+    """(psi_tilde, norm_b, report, state, est, scale): the solve, its
+    normalised solution as a state, a fresh estimator, and the factor
+    relating squared amplitudes to psi^2."""
+    psi_tilde, norm_b, report = inversion.solve_pricing_system(
+        spec, params, kink_shift=cfg["kink_shift"])
+    sol_norm = float(np.linalg.norm(psi_tilde))
+    state = circuits.StateVector(psi_tilde / sol_norm)
+    return (psi_tilde, norm_b, report, state, _estimator(cfg),
+            norm_b * sol_norm ** 2)
+
+
 def _outdir(cfg):
     out = cfg["outdir"]
     os.makedirs(out, exist_ok=True)
@@ -151,18 +163,14 @@ def run_pipeline(cfg):
                            "delta_eta_hat": spec.delta_eta_hat}
 
         summary["stage"] = "solve"
-        psi_tilde, norm_b, report = inversion.solve_pricing_system(
-            spec, params, kink_shift=cfg["kink_shift"])
+        _, norm_b, report, state, est, scale = _solve_and_read(
+            cfg, spec, params)
         with open(os.path.join(out, "condition_report.json"), "w") as fh:
             fh.write(report.to_json())
         summary["condition"] = json.loads(report.to_json())
         summary["errors"]["norm_b"] = norm_b
 
         summary["stage"] = "extract"
-        sol_norm = float(np.linalg.norm(psi_tilde))
-        state = circuits.StateVector(psi_tilde / sol_norm)
-        est = _estimator(cfg)
-        scale = norm_b * sol_norm ** 2
         result = extraction.extract_psi_2d(
             state, spec, _extraction_cfg(cfg, spec, params), est, scale=scale)
         summary["errors"]["extraction_bound"] = result.err_bound
@@ -280,13 +288,11 @@ def run_convergence(cfg, levels):
     for lvl in range(levels):
         level_cfg = {**cfg, "n_eta": cfg["n_eta"] + lvl, "n_tau1": None}
         spec = _spec(level_cfg, params)
-        psi_tilde, norm_b, _ = inversion.solve_pricing_system(spec, params)
-        sol_norm = float(np.linalg.norm(psi_tilde))
-        state = circuits.StateVector(psi_tilde / sol_norm)
-        est = _estimator(cfg)
+        psi_tilde, norm_b, _, state, est, scale = _solve_and_read(
+            level_cfg, spec, params)
         result = extraction.extract_psi_2d(
             state, spec, _extraction_cfg(level_cfg, spec, params), est,
-            scale=norm_b * sol_norm ** 2)
+            scale=scale)
         truth = _direct_readout(psi_tilde, norm_b, spec, result)
         err = float(np.max(np.abs(result.psi_nodes - truth)))
         rows.append({"n_eta": spec.n_eta, "n_tau1": spec.n_tau1, "error": err,
@@ -349,8 +355,7 @@ def run_solve(cfg):
     out = _outdir(cfg)
     params = _market(cfg)
     spec = _spec(cfg, params)
-    psi_tilde, norm_b, report = inversion.solve_pricing_system(
-        spec, params, kink_shift=cfg["kink_shift"])
+    psi_tilde, norm_b, report, *_ = _solve_and_read(cfg, spec, params)
     with open(os.path.join(out, "condition_report.json"), "w") as fh:
         fh.write(report.to_json())
     grid.matrix_to_csv(psi_tilde.reshape(spec.N_tau1, spec.N_eta),

@@ -429,9 +429,3 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
         ae_cost=est.total_cost,
     )
 
-
-def greeks(interp, params, point):
-    """Surface sensitivities (dpsi/deta, dpsi/dtau1) at (eta, tau1)."""
-    eta, tau1 = point
-    d_eta, d_tau1 = interp.dpsi(tau1, eta)
-    return d_eta, d_tau1

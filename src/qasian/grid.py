@@ -177,17 +177,8 @@ def make_grid(params, n_eta, eps_target, scale_c=1.0, band=1.5, c_smooth=1.0,
         smooth_ok = (params.T * params.sigma ** 2 * N_eta ** 2 / 2 ** n_tau1
                      >= c_smooth * log_term)
         if in_band and smooth_ok:
-            if Delta is None:
-                Delta = params.T / 4.0
-            return GridSpec(
-                n_eta=n_eta,
-                n_tau1=n_tau1,
-                delta_eta_hat=delta_hat,
-                delta_eta=params.eta_max * delta_hat,
-                delta_tau1=delta_tau1,
-                Delta=Delta,
-                eps_target=eps_target,
-            )
+            return grid_spec_direct(params, n_eta, n_tau1,
+                                    eps_target=eps_target, Delta=Delta)
     raise InfeasibleScaleError(
         f"no n_tau1 <= {N_TAU1_CAP} satisfies the spacing band and the "
         f"smoothing inequality for n_eta={n_eta}, eps={eps_target}")
@@ -197,7 +188,8 @@ def grid_spec_direct(params, n_eta, n_tau1, eps_target=1e-3, Delta=None):
     """Build a GridSpec with an explicitly chosen time register.
 
     Used by oracles, convergence studies and tests that need to pin both
-    register sizes; skips the spacing-band search of make_grid.
+    register sizes; skips the spacing-band search of make_grid, which
+    returns through this function once the search has chosen n_tau1.
     """
     _check_n_eta(n_eta)
     _check_integer("n_tau1", n_tau1)
@@ -303,6 +295,17 @@ def build_centered_dft(n):
     return np.exp(-2j * np.pi * phase / N) / np.sqrt(N)
 
 
+def fourier_multiplier(n, d):
+    """F_c^dag diag(d) F_c on n qubits: D_eta, A2 and A2^-1 are built so."""
+    F = build_centered_dft(n)
+    return F.conj().T @ (d[:, None] * F)
+
+
+def a2_eigenvalues(spec):
+    """Eigenvalues of A2 in the centered-Fourier basis, eta_hat^2/delta_hat^2."""
+    return eta_hat_diagonal(spec.n_eta) ** 2 / spec.delta_eta_hat ** 2
+
+
 def build_spectral_derivative(spec, params):
     """Spectral first-derivative matrix on the eta grid.
 
@@ -310,41 +313,8 @@ def build_spectral_derivative(spec, params):
     differentiates the antiperiodic waves exp(i*pi*k*eta/eta_max)
     (half-integer k) exactly.  Anti-Hermitian by construction.
     """
-    F = build_centered_dft(spec.n_eta)
-    eta_hat = eta_hat_diagonal(spec.n_eta)
     scale = 1j * np.pi / (spec.delta_eta_hat * params.eta_max)
-    return scale * (F.conj().T @ (eta_hat[:, None] * F))
-
-
-def build_C_eta1(spec, params):
-    """Diffusion operator, delta_tau1 rescaling absorbed.
-
-    C_eta1 = delta_tau1 * (pi^2 sigma^2 / (2 delta_hat^2))
-             * eta_hat^2 * F^dag eta_hat^2 F
-    This equals -delta_tau1 * (sigma^2 eta^2 / 2) d^2/d eta^2 in the
-    spectral discretization, i.e. the diffusion term moved to the
-    left-hand side.
-    """
-    F = build_centered_dft(spec.n_eta)
-    eta2 = eta_hat_diagonal(spec.n_eta) ** 2
-    inner = F.conj().T @ (eta2[:, None] * F)
-    pref = spec.delta_tau1 * np.pi ** 2 * params.sigma ** 2 / (2.0 * spec.delta_eta_hat ** 2)
-    return pref * (eta2[:, None] * inner)
-
-
-def build_C_eta2(spec, params):
-    """Drift operator in expanded (r = q safe) form, delta_tau1 absorbed.
-
-    C_eta2 = i * delta_tau1 * (pi/delta_hat)
-             * ((r-q)*eta_hat - I/(eta_max*T)) * F^dag eta_hat F
-    which is -((1/T) - (r-q)*eta) d/d eta on the spectral grid.
-    """
-    F = build_centered_dft(spec.n_eta)
-    eta_hat = eta_hat_diagonal(spec.n_eta)
-    drift = (params.r - params.q) * eta_hat - 1.0 / (params.eta_max * params.T)
-    inner = F.conj().T @ (eta_hat[:, None] * F)
-    pref = 1j * spec.delta_tau1 * np.pi / spec.delta_eta_hat
-    return pref * (drift[:, None] * inner)
+    return scale * fourier_multiplier(spec.n_eta, eta_hat_diagonal(spec.n_eta))
 
 
 def build_A1(spec, params):
@@ -355,9 +325,7 @@ def build_A1(spec, params):
 
 def build_A2(spec):
     """Fourier factor A2 = F^dag eta_hat^2 F / delta_hat^2."""
-    F = build_centered_dft(spec.n_eta)
-    eta2 = eta_hat_diagonal(spec.n_eta) ** 2
-    return (F.conj().T @ (eta2[:, None] * F)) / spec.delta_eta_hat ** 2
+    return fourier_multiplier(spec.n_eta, a2_eigenvalues(spec))
 
 
 def triangular(u):
@@ -414,15 +382,29 @@ def build_rhs(spec, params, kink_shift=0.0):
 
 
 def build_operators(spec, params, kink_shift=0.0):
-    """Build the full OperatorSet for one (spec, params) pair."""
+    """Build the full OperatorSet for one (spec, params) pair.
+
+    The spatial operators are composed here from their factors, so both
+    identities hold by construction:
+
+    * diffusion, C_eta1 = A1 A2, is -delta_tau1 * (sigma^2 eta^2 / 2)
+      d^2/d eta^2 in the spectral discretization, i.e. the diffusion
+      term moved to the left-hand side;
+    * drift, C_eta2 = delta_tau1 * ((r-q)*eta - 1/T) * Delta_eta, is
+      -((1/T) - (r-q)*eta) d/d eta on the spectral grid (finite at r = q).
+    """
     rhs_hat, norm_b = build_rhs(spec, params, kink_shift=kink_shift)
+    A1 = build_A1(spec, params)
+    A2 = build_A2(spec)
+    drift = spec.delta_tau1 * ((params.r - params.q) * eta_nodes(spec, params)
+                               - 1.0 / params.T)
     return OperatorSet(
         C_tau1=build_time_derivative(spec),
         C_close=build_time_closure(spec),
-        C_eta1=build_C_eta1(spec, params),
-        C_eta2=build_C_eta2(spec, params),
-        A1=build_A1(spec, params),
-        A2=build_A2(spec),
+        C_eta1=np.diag(A1)[:, None] * A2,
+        C_eta2=drift[:, None] * build_spectral_derivative(spec, params),
+        A1=A1,
+        A2=A2,
         rhs_hat=rhs_hat,
         norm_b=norm_b,
     )

@@ -134,11 +134,6 @@ def qpe_invert(eigenvalues, cfg):
     return inv_est, success
 
 
-def _a2_eigenvalues(spec):
-    """Eigenvalues of A2 in the centered-Fourier basis, eta_hat^2/delta_hat^2."""
-    return grid_mod.eta_hat_diagonal(spec.n_eta) ** 2 / spec.delta_eta_hat ** 2
-
-
 def fast_invert_exact(kind, spec, params):
     """Exact inverse of a fast-forwardable factor.
 
@@ -151,11 +146,10 @@ def fast_invert_exact(kind, spec, params):
             raise SingularFactorError("A1 eigenvalue below floor")
         return np.diag(1.0 / diag)
     if kind == "A2":
-        eig = _a2_eigenvalues(spec)
+        eig = grid_mod.a2_eigenvalues(spec)
         if np.min(np.abs(eig)) < EIGEN_FLOOR:
             raise SingularFactorError("A2 eigenvalue below floor")
-        F = grid_mod.build_centered_dft(spec.n_eta)
-        return F.conj().T @ ((1.0 / eig)[:, None] * F)
+        return grid_mod.fourier_multiplier(spec.n_eta, 1.0 / eig)
     raise ValidationError("kind must be 'A1' or 'A2'")
 
 
@@ -174,9 +168,11 @@ class SpaceTimeSystem:
     The split of grid.assemble_system follows from M without forming it:
     A + B = (I (x) A1^-1) M, A = I (x) A2, B = (A + B) - A and
     W = I + A^-1 B = (I (x) A2^-1) (A + B).  They are kept as
-    LinearOperators (`AB`, `AB_inv`, `B`, `W`, `W_inv`).  The object
-    stands for W x = rhs_pre: `system @ x` is W x and `system.solve(r)`
-    is W^-1 r.
+    LinearOperators (`AB`, `AB_inv`, `B`, `W`, `W_inv`) that close over
+    the Schur factors, never over the system, so that a system holds no
+    reference to itself and is freed as soon as its caller drops it.  The
+    object stands for W x = rhs_pre: `system @ x` is W x and
+    `system.solve(r)` is W^-1 r.
     """
 
     def __init__(self, spec, params, kink_shift=0.0):
@@ -186,22 +182,45 @@ class SpaceTimeSystem:
         ops = grid_mod.build_operators(spec, params, kink_shift=kink_shift)
         self.spec = spec
         self.norm_b = ops.norm_b
+        shape = (spec.N_tau1, spec.N_eta)
         # complex once here rather than on every zgemm call
-        self._Ct = spec.delta_tau1 * (ops.C_tau1 + ops.C_close).astype(complex)
-        self._Lt = (ops.C_eta1 + ops.C_eta2).T
-        self._R, self._U = schur(self._Ct, output="complex")
-        self._S, self._V = schur(self._Lt, output="complex")
+        Ct = spec.delta_tau1 * (ops.C_tau1 + ops.C_close).astype(complex)
+        Lt = (ops.C_eta1 + ops.C_eta2).T
+        R, U = schur(Ct, output="complex")
+        S, V = schur(Lt, output="complex")
+
+        # Products go through scipy's BLAS (zgemm; trans 1 = T, 2 = H), the
+        # library ztrsyl and ARPACK use: numpy ships its own OpenBLAS, and
+        # interleaving the two libraries' thread pools slowed the report
+        # five-fold on two cores.
+
+        def apply(X, adjoint):
+            """M X = Ct X + X L^T, or M^H X = Ct^H X + X conj(L)."""
+            t = 2 if adjoint else 0
+            return (zgemm(1.0, Ct, X, trans_a=t)
+                    + zgemm(1.0, X, Lt, trans_b=t))
+
+        def solve(X, adjoint):
+            """M^-1 X, or M^-H X, by one triangular Sylvester solve."""
+            trans = "C" if adjoint else "N"
+            C = zgemm(1.0, zgemm(1.0, U, X, trans_a=2), V)
+            Y, scale, info = ztrsyl(R, S, C, trana=trans, tranb=trans)
+            if info != 0:
+                raise SingularFactorError(
+                    "Ct and -L share an eigenvalue: the system is singular")
+            return zgemm(1.0 / scale, zgemm(1.0, U, Y), V, trans_b=2)
+
         a1_inv = fast_invert_exact("A1", spec, params)
         a2_inv = fast_invert_exact("A2", spec, params)
-        M = self._operator(self._apply, lambda X: self._apply(X, True))
-        M_inv = self._operator(self._solve, lambda X: self._solve(X, True))
-        A = self._blocks(ops.A2)
-        self.AB = self._blocks(a1_inv) @ M
-        self.AB_inv = M_inv @ self._blocks(ops.A1)
+        M = _operator(shape, apply)
+        M_inv = _operator(shape, solve)
+        A = _blocks(shape, ops.A2)
+        self.AB = _blocks(shape, a1_inv) @ M
+        self.AB_inv = M_inv @ _blocks(shape, ops.A1)
         self.B = self.AB - A
-        self.W = self._blocks(a2_inv) @ self.AB
+        self.W = _blocks(shape, a2_inv) @ self.AB
         self.W_inv = self.AB_inv @ A
-        self.rhs_pre = self._blocks(a2_inv @ a1_inv) @ ops.rhs_hat
+        self.rhs_pre = _blocks(shape, a2_inv @ a1_inv) @ ops.rhs_hat
 
     def __matmul__(self, x):
         return self.W @ x
@@ -215,47 +234,29 @@ class SpaceTimeSystem:
         norm_B = _norm2(self.B)
         norm_AB_inv = _norm2(self.AB_inv)
         # ||A^-1|| = ||A2^-1||, the reciprocal of A2's smallest eigenvalue
-        norm_A_inv = 1.0 / float(np.min(_a2_eigenvalues(self.spec)))
+        norm_A_inv = 1.0 / float(np.min(grid_mod.a2_eigenvalues(self.spec)))
         return PreconditionReport(
             kappa_raw=_norm2(self.AB) * norm_AB_inv,
             kappa_W=_norm2(self.W) * _norm2(self.W_inv),
             C_AB=1.0 + norm_AB_inv * norm_B,
             C_AB_prime=1.0 + norm_A_inv * norm_B)
 
-    # Products go through scipy's BLAS (zgemm; trans 1 = T, 2 = H), the
-    # library ztrsyl and ARPACK use: numpy ships its own OpenBLAS, and
-    # interleaving the two libraries' thread pools slowed the report
-    # five-fold on two cores.
 
-    def _apply(self, X, adjoint=False):
-        """M X = Ct X + X L^T, or M^H X = Ct^H X + X conj(L)."""
-        t = 2 if adjoint else 0
-        return (zgemm(1.0, self._Ct, X, trans_a=t)
-                + zgemm(1.0, X, self._Lt, trans_b=t))
+def _operator(shape, on_grid):
+    """LinearOperator on flat vectors of on_grid(X, adjoint), a map of grids."""
+    dim = shape[0] * shape[1]
+    return LinearOperator(
+        (dim, dim), dtype=complex,
+        matvec=lambda x: on_grid(x.reshape(shape), False).reshape(-1),
+        rmatvec=lambda x: on_grid(x.reshape(shape), True).reshape(-1))
 
-    def _solve(self, X, adjoint=False):
-        """M^-1 X, or M^-H X, by one triangular Sylvester solve."""
-        trans = "C" if adjoint else "N"
-        C = zgemm(1.0, zgemm(1.0, self._U, X, trans_a=2), self._V)
-        Y, scale, info = ztrsyl(self._R, self._S, C, trana=trans, tranb=trans)
-        if info != 0:
-            raise SingularFactorError(
-                "Ct and -L share an eigenvalue: the system is singular")
-        return zgemm(1.0 / scale, zgemm(1.0, self._U, Y), self._V, trans_b=2)
 
-    def _operator(self, on_grid, on_grid_adjoint):
-        """LinearOperator on flat vectors of maps on (N_tau1, N_eta) grids."""
-        shape = (self.spec.N_tau1, self.spec.N_eta)
-        return LinearOperator(
-            (self.spec.dim, self.spec.dim), dtype=complex,
-            matvec=lambda x: on_grid(x.reshape(shape)).reshape(-1),
-            rmatvec=lambda x: on_grid_adjoint(x.reshape(shape)).reshape(-1))
-
-    def _blocks(self, mat):
-        """I (x) mat: X -> X mat^T."""
-        mat_conj = mat.conj()
-        return self._operator(lambda X: zgemm(1.0, X, mat, trans_b=1),
-                              lambda X: zgemm(1.0, X, mat_conj))
+def _blocks(shape, mat):
+    """I (x) mat: X -> X mat^T."""
+    mat_conj = mat.conj()
+    return _operator(shape, lambda X, adjoint: (
+        zgemm(1.0, X, mat_conj) if adjoint
+        else zgemm(1.0, X, mat, trans_b=1)))
 
 
 def _norm2(op):

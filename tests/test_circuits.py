@@ -161,7 +161,8 @@ class TestComposition:
         Ct = spec.delta_tau1 * (qa.build_time_derivative(spec)
                                 + qa.build_time_closure(spec))
         t1 = np.kron(Ct, a1_inv)
-        t2 = np.kron(np.eye(spec.N_tau1), a1_inv @ qa.build_C_eta2(spec, p))
+        t2 = np.kron(np.eye(spec.N_tau1),
+                     a1_inv @ qa.build_operators(spec, p).C_eta2)
         n1 = np.linalg.norm(t1, 2)
         n2 = np.linalg.norm(t2, 2)
         u = qa.BlockEncoding(_dilate(t1 / n1), n1, 1, 0.0)

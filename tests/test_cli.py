@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from qasian import cli, extraction, grid
+from qasian import cli, extraction, grid, inversion
 from qasian.errors import ValidationError
 
 
@@ -106,6 +106,23 @@ class TestCommands:
         assert code == 0
         lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 levels
+
+    def test_converge_honours_kink_shift(self, tmp_path, capsys,
+                                         monkeypatch):
+        # every level of the study solves the configured problem, as
+        # `price` does, kink displacement included
+        shifts = []
+        solve = inversion.solve_pricing_system
+
+        def recording_solve(spec, params, kink_shift=0.0):
+            shifts.append(kink_shift)
+            return solve(spec, params, kink_shift=kink_shift)
+        monkeypatch.setattr(inversion, "solve_pricing_system",
+                            recording_solve)
+        cfg = cli.load_config(preset="smoke", overrides={
+            "kink_shift": 0.3, "outdir": str(tmp_path)})
+        cli.run_convergence(cfg, 3)
+        assert shifts == [0.3, 0.3, 0.3]
 
     def test_converge_too_few_levels(self, tmp_path, capsys):
         code = run(tmp_path, "--preset", "smoke", "converge", "--levels", "2")

@@ -264,7 +264,7 @@ class TestExtract2D:
         # pick an interior point
         tau1 = spec.delta_tau1 * (spec.N_tau1 // 2)
         eta = 0.25
-        d_eta, d_tau1 = qa.greeks(interp, None, (eta, tau1))
+        d_eta, d_tau1 = interp.dpsi(tau1, eta)
         s_t = float(interp.s_of_tau1(tau1))
         s_x = float(interp.s_of_eta(eta))
         psi_true = P(s_t) * P(s_x)
@@ -279,7 +279,6 @@ class TestExtract2D:
         est = qa.AmplitudeEstimator(mode="exact")
         res = qa.extract_psi_2d(state, spec, {"M_eta": 4, "M_tau1": 4},
                                 est, scale=norm2)
-        d_eta, d_tau1 = qa.greeks(res.interpolant, None,
-                                  (0.1, spec.delta_tau1 * 20))
+        d_eta, d_tau1 = res.interpolant.dpsi(spec.delta_tau1 * 20, 0.1)
         assert abs(d_eta) < 1e-6
         assert abs(d_tau1) < 1e-4

@@ -137,12 +137,12 @@ class TestSpatialOperators:
     def test_sigma_zero_kills_diffusion(self):
         p = params(sigma=0.0)
         spec = qa.grid_spec_direct(p, 3, 1)
-        assert np.max(np.abs(qa.build_C_eta1(spec, p))) == 0.0
+        assert np.max(np.abs(qa.build_operators(spec, p).C_eta1)) == 0.0
 
     def test_factorization(self):
         p = params(sigma=0.7, r=0.04, q=0.01)
         spec = qa.grid_spec_direct(p, 4, 2)
-        C1 = qa.build_C_eta1(spec, p)
+        C1 = qa.build_operators(spec, p).C_eta1
         A1 = qa.build_A1(spec, p)
         A2 = qa.build_A2(spec)
         assert np.max(np.abs(A1 @ A2 - C1)) < 1e-12
@@ -150,7 +150,7 @@ class TestSpatialOperators:
     def test_r_equals_q_finite(self):
         p = params(r=0.05, q=0.05)
         spec = qa.grid_spec_direct(p, 3, 1)
-        C2 = qa.build_C_eta2(spec, p)
+        C2 = qa.build_operators(spec, p).C_eta2
         assert np.all(np.isfinite(C2))
         # pure 1/T transport term remains
         assert np.max(np.abs(C2)) > 0
@@ -215,13 +215,14 @@ class TestAssemble:
         p = params(sigma=0.5, r=0.03)
         spec = qa.grid_spec_direct(p, 3, 2)
         M, rhs, A, B = qa.assemble_system(spec, p)
+        ops = qa.build_operators(spec, p)
         Ct = spec.delta_tau1 * (qa.build_time_derivative(spec)
                                 + qa.build_time_closure(spec))
         # the closure puts a nonzero diagonal in Ct, so the spatial
         # summands are added first, as the assembly does, for exact equality
         total = (np.kron(Ct, np.eye(spec.N_eta))
-                 + (np.kron(np.eye(spec.N_tau1), qa.build_C_eta1(spec, p))
-                    + np.kron(np.eye(spec.N_tau1), qa.build_C_eta2(spec, p))))
+                 + (np.kron(np.eye(spec.N_tau1), ops.C_eta1)
+                    + np.kron(np.eye(spec.N_tau1), ops.C_eta2)))
         assert np.max(np.abs(M - total)) == 0.0
 
     def test_ab_split_consistent(self):
@@ -262,8 +263,8 @@ class TestAssemble:
             _, nb = qa.build_rhs(spec, p)
             x = np.linalg.solve(M, math.sqrt(nb) * rhs)
             surf = x.reshape(spec.N_tau1, spec.N_eta)
-            L = (qa.build_C_eta1(spec, p) + qa.build_C_eta2(spec, p)) \
-                / spec.delta_tau1
+            ops = qa.build_operators(spec, p)
+            L = (ops.C_eta1 + ops.C_eta2) / spec.delta_tau1
             p0 = qa.psi0(p, qa.eta_nodes(spec, p))
             ref = np.array([expm(-t * L) @ p0 for t in qa.tau1_nodes(spec)])
             errs.append(float(np.max(np.abs(surf - ref))))

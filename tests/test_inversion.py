@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -174,6 +177,24 @@ class TestSpaceTimeSystem:
         for field in ("kappa_raw", "kappa_W", "C_AB", "C_AB_prime"):
             got, ref = getattr(rep, field), getattr(rep_ref, field)
             assert abs(got - ref) <= 1e-10 * ref, field
+
+    def test_freed_without_cyclic_gc(self):
+        # a solved system holds no reference to itself: reference counting
+        # alone frees it, and a whole pricing solve leaves no cycle behind
+        p = params(sigma=0.7)
+        spec = qa.grid_spec_direct(p, 4, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            W, rhs_pre, _ = qa.precondition(spec, p)
+            qa.solve_system(W, rhs_pre)
+            ref = weakref.ref(W)
+            del W
+            assert ref() is None
+            qa.solve_pricing_system(spec, p)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSolveSystem:
