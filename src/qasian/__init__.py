@@ -11,7 +11,7 @@ from .grid import (MarketParams, GridSpec, OperatorSet, make_grid,
                    grid_spec_direct, build_time_derivative, build_time_closure,
                    build_eta_operator, build_centered_dft,
                    build_spectral_derivative, build_A1, build_A2,
-                   build_rhs, build_operators, assemble_system,
+                   build_rhs, build_operators,
                    eta_nodes, tau1_nodes, psi0)
 from .circuits import (StateVector, BlockEncoding, cyclic_shift, lcu,
                        build_ctau1_encoding, encode_diagonal,

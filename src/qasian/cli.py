@@ -425,6 +425,10 @@ def main(argv=None):
     except QasianError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # exit codes stay 0/2/3, never a traceback
+        # repr keeps a multi-line message on one line
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -5,9 +5,9 @@ average-to-underlying ratio) and the reversed time tau1 = T - t.  This
 module builds every discrete operator of the scheme: the central time
 derivative with Dirichlet ends, the spectral (centered-DFT) space
 derivatives, the diffusion and drift terms, the factorized diffusion
-pieces A1 * A2, the rank-one closure row of the time system, the
-boundary-driven right-hand side, and the assembled Kronecker-structured
-linear system.
+pieces A1 * A2, the rank-one closure row of the time system and the
+boundary-driven right-hand side.  The system they make is the Kronecker
+sum that inversion.SpaceTimeSystem solves without assembling it.
 
 Conventions used throughout the package:
 
@@ -408,31 +408,6 @@ def build_operators(spec, params, kink_shift=0.0):
         rhs_hat=rhs_hat,
         norm_b=norm_b,
     )
-
-
-def assemble_system(spec, params, kink_shift=0.0):
-    """Assemble the dense linear system and its A/B split.
-
-    Returns (M, rhs_hat, A, B) with Ct = delta_tau1*(C_tau1 + C_close)
-    the closed time operator and
-        M = Ct (x) I  +  I (x) (C_eta1 + C_eta2)
-        A = I (x) A2
-        B = Ct (x) A1^-1  +  I (x) A1^-1 C_eta2
-    so that A + B = (I (x) A1^-1) M.  The pipeline never forms these;
-    this is the dense reference that tests hold inversion.SpaceTimeSystem
-    against.
-    """
-    ops = build_operators(spec, params, kink_shift=kink_shift)
-    It = np.eye(spec.N_tau1)
-    Ix = np.eye(spec.N_eta)
-    Ct = spec.delta_tau1 * (ops.C_tau1 + ops.C_close)
-    M = (np.kron(Ct, Ix)
-         + np.kron(It, ops.C_eta1 + ops.C_eta2))
-    a1_inv = 1.0 / np.diag(ops.A1)
-    A = np.kron(It, ops.A2)
-    B = (np.kron(Ct, np.diag(a1_inv))
-         + np.kron(It, a1_inv[:, None] * ops.C_eta2))
-    return M, ops.rhs_hat, A, B
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ import math
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.linalg.blas import zgemm
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg.blas import zgemm, zgemv
+from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.sparse import dia_array
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .errors import (AliasingError, DimensionCapError, SingularFactorError,
@@ -30,12 +31,23 @@ from .errors import (AliasingError, DimensionCapError, SingularFactorError,
 from . import grid as grid_mod
 
 #: Largest space-time dimension N_tau1 * N_eta the solver accepts.  On a
-#: 2-core x86 VM, dim 2^16 solves with its condition report in ~15 s and
-#: 2^17 in ~60 s.
-DIM_CAP = 2 ** 16
+#: shared 2-core x86 VM, sigma=1, n_eta=7 (512 x 128, dim 2^16) solved
+#: with its condition report in 1.7-3.5 s and sigma=0.5, n_eta=8
+#: (512 x 256, dim 2^17) in 4.4-8.3 s, at a peak RSS of 152 MB.
+DIM_CAP = 2 ** 17
 
 #: Smallest eigenvalue magnitude fast_invert_exact reciprocates.
 EIGEN_FLOOR = 1e-30
+
+#: Largest dimension whose Schur-transformed system is solved as one
+#: banded matrix rather than column by column.  On a 2-core x86 VM a
+#: solve_pricing_system at 8 x 32 took 28 ms whole and 43 ms by columns,
+#: at 16 x 32 39 and 46 ms, and at 32 x 32 75 and 58 ms.
+BANDED_SYSTEM_DIM = 2 ** 9
+
+#: Lower and upper bandwidth of the closed time operator Ct: the BDF2
+#: closure row reaches two slices back, the central rows one either way.
+_KL, _KU = 2, 1
 
 
 @dataclass(frozen=True)
@@ -160,16 +172,29 @@ class SpaceTimeSystem:
     with Ct = delta_tau1*(C_tau1 + C_close) the closed time operator and
     L = C_eta1 + C_eta2.  On X = x.reshape(N_tau1, N_eta) it acts as
     Ct X + X L^T, and M X = C is the Sylvester equation solved exactly by
-    the Bartels-Stewart method: with the complex Schur forms Ct = U R U^H
-    and L^T = V S V^H, R Y + Y S = U^H C V is triangular (LAPACK ztrsyl)
-    and X = U Y V^H.  M^H is solved the same way.  Ct is not normal (its
-    closure row), which the Schur route does not need.
+    the Hessenberg-Schur method (Golub, Nash and Van Loan, IEEE TAC 24(6),
+    1979).  Ct is banded, with lower bandwidth 2 (the closure row) and
+    upper bandwidth 1, and is kept in LAPACK band storage; only the
+    N_eta x N_eta L^T = V S V^H is brought to complex Schur form.  With
+    Z = X V and F = C V the equation becomes Ct Z + Z S = F, and since S
+    is upper triangular its columns solve in order, each as one shifted
+    banded system (Ct + S_jj I) z_j = f_j - Z[:, :j] S[:j, j]; then
+    X = Z V^H.  Each Ct + S_jj I is LU-factored once (LAPACK zgbtrf), and
+    M^H X = C runs the columns backwards through the same factors,
+    conjugate-transposed.  Ct is not normal (its closure row), which this
+    route does not need.  The factors grow as N_eta^2 + N_eta*N_tau1 + dim.
 
-    The split of grid.assemble_system follows from M without forming it:
-    A + B = (I (x) A1^-1) M, A = I (x) A2, B = (A + B) - A and
+    Up to dim BANDED_SYSTEM_DIM the column loop costs more in calls than
+    in arithmetic, so Ct Z + Z S = F is instead solved whole: in time-major
+    order it is one banded matrix Ct (x) I + I (x) S^T with bandwidths
+    (2 N_eta, N_eta), factored once and stored in (5 N_eta + 1) * dim
+    entries.
+
+    The split of the dense reference assembly follows from M without
+    forming it: A + B = (I (x) A1^-1) M, A = I (x) A2, B = (A + B) - A and
     W = I + A^-1 B = (I (x) A2^-1) (A + B).  They are kept as
     LinearOperators (`AB`, `AB_inv`, `B`, `W`, `W_inv`) that close over
-    the Schur factors, never over the system, so that a system holds no
+    the factors, never over the system, so that a system holds no
     reference to itself and is freed as soon as its caller drops it.  The
     object stands for W x = rhs_pre: `system @ x` is W x and
     `system.solve(r)` is W^-1 r.
@@ -183,44 +208,58 @@ class SpaceTimeSystem:
         self.spec = spec
         self.norm_b = ops.norm_b
         shape = (spec.N_tau1, spec.N_eta)
-        # complex once here rather than on every zgemm call
-        Ct = spec.delta_tau1 * (ops.C_tau1 + ops.C_close).astype(complex)
+        band = _band(spec.delta_tau1 * (ops.C_tau1 + ops.C_close))
         Lt = (ops.C_eta1 + ops.C_eta2).T
-        R, U = schur(Ct, output="complex")
         S, V = schur(Lt, output="complex")
+        if spec.dim <= BANDED_SYSTEM_DIM:
+            solve_schur = _whole_solver(band, S)
+        else:
+            solve_schur = _column_solver(band, S)
+        # scipy's DIA format reads the band storage as it is
+        Ct = dia_array((band, range(_KU, -_KL - 1, -1)),
+                       shape=(spec.N_tau1, spec.N_tau1))
+        Ct_adj = Ct.T  # Ct is real
+        a1 = np.diag(ops.A1)
+        a1_inv = np.diag(fast_invert_exact("A1", spec, params))
+        apply_A = _blocks(ops.A2)
+        apply_A2_inv = _blocks(fast_invert_exact("A2", spec, params))
 
-        # Products go through scipy's BLAS (zgemm; trans 1 = T, 2 = H), the
-        # library ztrsyl and ARPACK use: numpy ships its own OpenBLAS, and
-        # interleaving the two libraries' thread pools slowed the report
-        # five-fold on two cores.
+        # Products go through scipy's BLAS (zgemm, zgemv; trans 1 = T,
+        # 2 = H), the library zgbtrs and ARPACK use: numpy ships its own
+        # OpenBLAS, and interleaving the two libraries' thread pools slowed
+        # the report five-fold on two cores.
 
         def apply(X, adjoint):
             """M X = Ct X + X L^T, or M^H X = Ct^H X + X conj(L)."""
-            t = 2 if adjoint else 0
-            return (zgemm(1.0, Ct, X, trans_a=t)
-                    + zgemm(1.0, X, Lt, trans_b=t))
+            if adjoint:
+                return Ct_adj @ X + zgemm(1.0, X, Lt, trans_b=2)
+            return Ct @ X + zgemm(1.0, X, Lt)
 
         def solve(X, adjoint):
-            """M^-1 X, or M^-H X, by one triangular Sylvester solve."""
-            trans = "C" if adjoint else "N"
-            C = zgemm(1.0, zgemm(1.0, U, X, trans_a=2), V)
-            Y, scale, info = ztrsyl(R, S, C, trana=trans, tranb=trans)
-            if info != 0:
-                raise SingularFactorError(
-                    "Ct and -L share an eigenvalue: the system is singular")
-            return zgemm(1.0 / scale, zgemm(1.0, U, Y), V, trans_b=2)
+            """M^-1 X, or M^-H X, through Ct Z + Z S = X V."""
+            return zgemm(1.0, solve_schur(zgemm(1.0, X, V), adjoint), V,
+                         trans_b=2)
 
-        a1_inv = fast_invert_exact("A1", spec, params)
-        a2_inv = fast_invert_exact("A2", spec, params)
-        M = _operator(shape, apply)
-        M_inv = _operator(shape, solve)
-        A = _blocks(shape, ops.A2)
-        self.AB = _blocks(shape, a1_inv) @ M
-        self.AB_inv = M_inv @ _blocks(shape, ops.A1)
-        self.B = self.AB - A
-        self.W = _blocks(shape, a2_inv) @ self.AB
-        self.W_inv = self.AB_inv @ A
-        self.rhs_pre = _blocks(shape, a2_inv @ a1_inv) @ ops.rhs_hat
+        def ab(X, adjoint):
+            """A + B = (I (x) A1^-1) M, A1 a column scaling."""
+            if adjoint:
+                return apply(X * a1_inv, True)
+            return apply(X, False) * a1_inv
+
+        def ab_inv(X, adjoint):
+            """(A + B)^-1 = M^-1 (I (x) A1)."""
+            if adjoint:
+                return solve(X, True) * a1
+            return solve(X * a1, False)
+
+        self.AB = _operator(shape, ab)
+        self.AB_inv = _operator(shape, ab_inv)
+        self.B = _operator(shape, lambda X, adjoint: (
+            ab(X, adjoint) - apply_A(X, adjoint)))
+        self.W = _operator(shape, _compose(apply_A2_inv, ab))
+        self.W_inv = _operator(shape, _compose(ab_inv, apply_A))
+        self.rhs_pre = apply_A2_inv(
+            ops.rhs_hat.reshape(shape) * a1_inv, False).reshape(-1)
 
     def __matmul__(self, x):
         return self.W @ x
@@ -251,12 +290,91 @@ def _operator(shape, on_grid):
         rmatvec=lambda x: on_grid(x.reshape(shape), True).reshape(-1))
 
 
-def _blocks(shape, mat):
-    """I (x) mat: X -> X mat^T."""
+def _compose(outer, inner):
+    """The map of grids outer . inner, whose adjoint is inner^H . outer^H."""
+    return lambda X, adjoint: (inner(outer(X, True), True) if adjoint
+                               else outer(inner(X, False), False))
+
+
+def _blocks(mat):
+    """I (x) mat as a map of grids: X -> X mat^T."""
     mat_conj = mat.conj()
-    return _operator(shape, lambda X, adjoint: (
-        zgemm(1.0, X, mat_conj) if adjoint
-        else zgemm(1.0, X, mat, trans_b=1)))
+    return lambda X, adjoint: (zgemm(1.0, X, mat_conj) if adjoint
+                               else zgemm(1.0, X, mat, trans_b=1))
+
+
+def _band(Ct):
+    """Ct in LAPACK band storage: band[_KU + i - j, j] = Ct[i, j]."""
+    n = Ct.shape[0]
+    band = np.zeros((_KL + _KU + 1, n))
+    for r in range(_KL + _KU + 1):
+        s = r - _KU  # row r holds the diagonal Ct[j + s, j]
+        band[r, max(-s, 0):n - max(s, 0)] = np.diagonal(Ct, -s)
+    return band
+
+
+def _band_lu(band, kl, ku, shift):
+    """LU factors (zgbtrf) of band + shift*I, band in LAPACK band storage."""
+    ab = np.zeros((kl + band.shape[0], band.shape[1]), dtype=complex)
+    ab[kl:] = band  # zgbtrf fills the top kl rows with U's fill-in
+    ab[kl + ku] += shift
+    lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info != 0:
+        raise SingularFactorError(
+            "Ct and -L share an eigenvalue: the system is singular")
+    return lu, piv
+
+
+def _column_solver(band, S):
+    """(F, adjoint) -> Z with Ct Z + Z S = F, or Ct^H Z + Z S^H = F.
+
+    One shifted banded solve per column, in place on F's columns (F in
+    Fortran order, as zgemm returns it).
+    """
+    n = S.shape[0]
+    factors = [_band_lu(band, _KL, _KU, shift) for shift in np.diag(S)]
+    S = np.asfortranarray(S)
+    S_adj = np.asfortranarray(S.conj().T)  # lower triangular
+
+    def solve(F, adjoint):
+        if adjoint:
+            order, S_cols, trans = range(n - 1, -1, -1), S_adj, 2
+        else:
+            order, S_cols, trans = range(n), S, 0
+        for j in order:
+            done = slice(j + 1, n) if adjoint else slice(0, j)
+            if done.start != done.stop:
+                zgemv(-1.0, F[:, done], S_cols[done, j], beta=1.0,
+                      y=F[:, j], overwrite_y=1)
+            lu, piv = factors[j]
+            zgbtrs(lu, _KL, _KU, F[:, j:j + 1], piv, trans=trans,
+                   overwrite_b=1)
+        return F
+    return solve
+
+
+def _whole_solver(band, S):
+    """(F, adjoint) -> Z with Ct Z + Z S = F, or Ct^H Z + Z S^H = F.
+
+    Row-major vec(Z) solves Ct (x) I + I (x) S^T, one banded matrix with
+    lower bandwidth 2 N_eta and upper bandwidth N_eta: Ct's diagonal s
+    lands on diagonal s*N_eta, and S^T fills diagonals 0..N_eta-1.
+    """
+    n_eta = S.shape[0]
+    kl, ku = _KL * n_eta, _KU * n_eta
+    whole = np.zeros((kl + ku + 1, band.shape[1] * n_eta), dtype=complex)
+    whole[::n_eta] = np.repeat(band, n_eta, axis=1)
+    for d in range(n_eta):
+        # S^T[k' + d, k'] = S[k', k' + d] on diagonal d
+        whole[ku + d] += np.tile(np.pad(np.diagonal(S, d), (0, d)),
+                                 band.shape[1])
+    lu, piv = _band_lu(whole, kl, ku, 0.0)
+
+    def solve(F, adjoint):
+        z, _ = zgbtrs(lu, kl, ku, np.ascontiguousarray(F).reshape(-1, 1),
+                      piv, trans=2 if adjoint else 0, overwrite_b=1)
+        return z.reshape(F.shape)
+    return solve
 
 
 def _norm2(op):

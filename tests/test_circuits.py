@@ -5,6 +5,8 @@ import qasian as qa
 from qasian.errors import PostSelectionWarning, ValidationError
 from qasian.grid import eta_hat_diagonal
 
+from conftest import assemble_system
+
 
 def params(**kw):
     base = dict(sigma=1.0, r=0.05, q=0.0, T=1.0, K=1.0, eta_max=1.0)
@@ -156,7 +158,7 @@ class TestComposition:
         # assembled from encodings matches the directly built matrix
         p = params(sigma=0.8, r=0.04)
         spec = qa.grid_spec_direct(p, 2, 2)
-        M, rhs, A, B = qa.assemble_system(spec, p)
+        M, rhs, A, B = assemble_system(spec, p)
         a1_inv = np.diag(1.0 / np.diag(qa.build_A1(spec, p)))
         Ct = spec.delta_tau1 * (qa.build_time_derivative(spec)
                                 + qa.build_time_closure(spec))

@@ -170,6 +170,19 @@ class TestExitCodes:
         assert code == 3
         assert "exceeds cap" in capsys.readouterr().err
 
+    def test_unexpected_exception_exits_3(self, tmp_path, capsys,
+                                          monkeypatch):
+        # a fault outside the numerical error types still ends on exit 3,
+        # with one line on stderr and no traceback
+        def broken_stage(*args, **kwargs):
+            raise RuntimeError("stage broke\nsecond line")
+        monkeypatch.setattr(inversion, "solve_pricing_system", broken_stage)
+        assert run(tmp_path, "--preset", "smoke", "price") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError(")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_overfull_node_request(self, tmp_path, capsys):
         # pin a register layout whose fit is impossible: more nodes than
         # grid points on the time axis

@@ -8,6 +8,8 @@ import qasian as qa
 from qasian.errors import InfeasibleScaleError, ValidationError
 from qasian.grid import eta_hat_diagonal, eta_from_pauli
 
+from conftest import assemble_system
+
 
 def params(sigma=1.0, r=0.05, q=0.0, T=1.0, K=1.0, eta_max=1.0,
            kind="avg_rate_call"):
@@ -201,7 +203,7 @@ class TestAssemble:
     def test_kronecker_identity(self):
         p = params()
         spec = qa.grid_spec_direct(p, 2, 2)
-        M, rhs, A, B = qa.assemble_system(spec, p)
+        M, rhs, A, B = assemble_system(spec, p)
         Ct = spec.delta_tau1 * qa.build_time_derivative(spec)
         K = np.kron(Ct, np.eye(spec.N_eta))
         for t in range(spec.N_tau1):
@@ -214,7 +216,7 @@ class TestAssemble:
     def test_summand_decomposition(self):
         p = params(sigma=0.5, r=0.03)
         spec = qa.grid_spec_direct(p, 3, 2)
-        M, rhs, A, B = qa.assemble_system(spec, p)
+        M, rhs, A, B = assemble_system(spec, p)
         ops = qa.build_operators(spec, p)
         Ct = spec.delta_tau1 * (qa.build_time_derivative(spec)
                                 + qa.build_time_closure(spec))
@@ -228,7 +230,7 @@ class TestAssemble:
     def test_ab_split_consistent(self):
         p = params(sigma=0.5, r=0.03)
         spec = qa.grid_spec_direct(p, 3, 2)
-        M, rhs, A, B = qa.assemble_system(spec, p)
+        M, rhs, A, B = assemble_system(spec, p)
         a1_inv = np.diag(1.0 / np.diag(qa.build_A1(spec, p)))
         lhs = np.kron(np.eye(spec.N_tau1), a1_inv) @ M
         assert np.max(np.abs(lhs - (A + B))) < 1e-10
@@ -259,7 +261,7 @@ class TestAssemble:
         errs = []
         for n_tau1 in range(2, 7):
             spec = qa.grid_spec_direct(p, 4, n_tau1)
-            M, rhs, A, B = qa.assemble_system(spec, p)
+            M, rhs, A, B = assemble_system(spec, p)
             _, nb = qa.build_rhs(spec, p)
             x = np.linalg.solve(M, math.sqrt(nb) * rhs)
             surf = x.reshape(spec.N_tau1, spec.N_eta)

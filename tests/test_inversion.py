@@ -7,6 +7,8 @@ import pytest
 import qasian as qa
 from qasian.errors import AliasingError, SingularFactorError, ValidationError
 
+from conftest import assemble_system
+
 
 def params(**kw):
     base = dict(sigma=1.0, r=0.05, q=0.0, T=1.0, K=1.0, eta_max=4.0)
@@ -133,7 +135,7 @@ class TestPrecondition:
     def test_solution_set_preserved(self):
         p = params(sigma=0.5)
         spec = qa.grid_spec_direct(p, 4, 2)
-        M, rhs_hat, A, B = qa.assemble_system(spec, p)
+        M, rhs_hat, A, B = assemble_system(spec, p)
         W, rhs_pre, rep = qa.precondition(spec, p)
         x = qa.solve_system(W, rhs_pre)
         assert np.linalg.norm(M @ x - rhs_hat) < 1e-9
@@ -141,7 +143,7 @@ class TestPrecondition:
 
 def _dense_reference(spec, p, kink_shift):
     """Solution and report from the dense assembled system."""
-    M, rhs_hat, A, B = qa.assemble_system(spec, p, kink_shift=kink_shift)
+    M, rhs_hat, A, B = assemble_system(spec, p, kink_shift=kink_shift)
     W = np.eye(spec.dim) + np.linalg.solve(A, B)
     return (np.linalg.solve(M, rhs_hat),
             qa.inversion.condition_report(A, B, W))
@@ -165,8 +167,7 @@ class TestSpaceTimeSystem:
         with monkeypatch.context() as m:
             # the structured path forms no dense system
             for mod, name in ((np, "kron"), (np.linalg, "inv"),
-                              (np.linalg, "cond"),
-                              (qa.grid, "assemble_system")):
+                              (np.linalg, "cond")):
                 m.setattr(mod, name, None)
             x, norm_b, rep = qa.solve_pricing_system(
                 spec, p, kink_shift=kink_shift)
@@ -177,6 +178,37 @@ class TestSpaceTimeSystem:
         for field in ("kappa_raw", "kappa_W", "C_AB", "C_AB_prime"):
             got, ref = getattr(rep, field), getattr(rep_ref, field)
             assert abs(got - ref) <= 1e-10 * ref, field
+
+    @pytest.mark.parametrize("n_tau1", [1, 2, 3])
+    @pytest.mark.parametrize("by_columns", [False, True],
+                             ids=["whole", "columns"])
+    def test_solves_match_dense_kronecker_sum(self, n_tau1, by_columns,
+                                              monkeypatch):
+        # AB_inv = M^-1 (I (x) A1) and its adjoint against dense solves of
+        # M, on both solve paths; at N_tau1 = 2 Ct's band (two below the
+        # diagonal, one above) is wider than Ct itself
+        p = params(sigma=0.7, r=0.03)
+        spec = qa.grid_spec_direct(p, 4, n_tau1)
+        if by_columns:
+            monkeypatch.setattr(qa.inversion, "BANDED_SYSTEM_DIM", 0)
+        shapes = []
+        schur = qa.inversion.schur
+
+        def recording_schur(a, **kwargs):
+            shapes.append(a.shape)
+            return schur(a, **kwargs)
+        monkeypatch.setattr(qa.inversion, "schur", recording_schur)
+        W = qa.inversion.SpaceTimeSystem(spec, p)
+        # only L^T is brought to Schur form, never the time operator
+        assert shapes == [(spec.N_eta, spec.N_eta)]
+        M = assemble_system(spec, p)[0]
+        a1 = np.tile(np.diag(qa.build_A1(spec, p)), spec.N_tau1)
+        rng = np.random.default_rng(n_tau1)
+        x = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        for got, ref in (
+                (W.AB_inv.matvec(x), np.linalg.solve(M, a1 * x)),
+                (W.AB_inv.rmatvec(x), a1 * np.linalg.solve(M.conj().T, x))):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_freed_without_cyclic_gc(self):
         # a solved system holds no reference to itself: reference counting
