@@ -8,7 +8,7 @@ from .errors import (QasianError, ValidationError, InfeasibleScaleError,
                      DimensionCapError, SingularFactorError, AliasingError,
                      NodeCollisionError, IllConditionedError)
 from .grid import (MarketParams, GridSpec, OperatorSet, make_grid,
-                   grid_spec_direct, build_time_derivative, build_time_closure,
+                   grid_spec_direct, build_time_derivative,
                    build_eta_operator, build_centered_dft,
                    build_spectral_derivative, build_A1, build_A2,
                    build_rhs, build_operators,

@@ -9,6 +9,7 @@ their artifacts alone.  Exit codes: 0 success, 2 validation problem,
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -157,6 +158,11 @@ def run_pipeline(cfg):
     summary = {"stage": "build", "errors": {}}
     try:
         params = _market(cfg)
+        S0 = cfg["oracle"]["S0"]
+        if not (isinstance(S0, numbers.Real) and math.isfinite(S0)
+                and S0 > 0):
+            raise ValidationError(f"oracle.S0 must be finite and > 0, "
+                                  f"got {S0!r}")
         spec = _spec(cfg, params)
         summary["grid"] = {"n_eta": spec.n_eta, "n_tau1": spec.n_tau1,
                            "delta_tau1": spec.delta_tau1,

@@ -5,9 +5,10 @@ average-to-underlying ratio) and the reversed time tau1 = T - t.  This
 module builds every discrete operator of the scheme: the central time
 derivative with Dirichlet ends, the spectral (centered-DFT) space
 derivatives, the diffusion and drift terms, the factorized diffusion
-pieces A1 * A2, the rank-one closure row of the time system and the
-boundary-driven right-hand side.  The system they make is the Kronecker
-sum that inversion.SpaceTimeSystem solves without assembling it.
+pieces A1 * A2, the closed time operator (as the band the solver
+factors, never as an N_tau1 x N_tau1 matrix) and the boundary-driven
+right-hand side.  The system they make is the Kronecker sum that
+inversion.SpaceTimeSystem solves without assembling it.
 
 Conventions used throughout the package:
 
@@ -27,8 +28,8 @@ Conventions used throughout the package:
   BDF2 row.  At N_tau1 = 2 the extrapolation reaches back to the tau1 = 0
   slice, whose psi0 term also goes to the right-hand side.
 * The whole linear equation is rescaled by delta_tau1 so that the time
-  term has entries +-1/2 and the spatial operators carry a delta_tau1
-  prefactor.
+  term has entries +-1/2 (and 1/2, -2, 3/2 in the BDF2 row) and the
+  spatial operators carry a delta_tau1 prefactor.
 """
 
 from dataclasses import dataclass
@@ -37,12 +38,17 @@ import math
 import numbers
 
 import numpy as np
+from scipy.sparse import dia_array
 
 from .errors import InfeasibleScaleError, ValidationError
 
 #: Extrapolation weights of the tau1 = T ghost slice on the slices
 #: N-3, N-2, N-1 (slice -1 is tau1 = 0): psi_N = sum_j END_GHOST[j] psi_{N-3+j}.
 END_GHOST = np.array([1.0, -3.0, 3.0])
+
+#: Lower and upper bandwidth of the closed time operator Ct: the BDF2
+#: closure row reaches two slices back, the central rows one either way.
+TIME_KL, TIME_KU = 2, 1
 
 #: Largest time register make_grid tries.
 N_TAU1_CAP = 24
@@ -72,6 +78,10 @@ class MarketParams:
     kind: str = "avg_rate_call"
 
     def __post_init__(self):
+        for name in ("sigma", "r", "q", "T", "K", "eta_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma < 0:  # sigma == 0 is allowed for the oracles
             raise ValidationError("sigma must be >= 0")
         if self.T <= 0:
@@ -113,20 +123,39 @@ class GridSpec:
 class OperatorSet:
     """All discrete operators of one system build.
 
-    C_tau1 (the central derivative) and C_close (its closure row) carry
-    the raw 1/(2*delta_tau1) scale; C_eta1, C_eta2, A1 have the global
-    delta_tau1 rescaling absorbed, so the assembled system is
-    delta_tau1*(C_tau1 + C_close) (x) I + I (x) (C_eta1 + C_eta2).
+    Ct is the closed time operator delta_tau1*(C_tau1 + C_close) as a
+    dia_array whose `.data` is its LAPACK band storage (build_time_operator).
+    C_eta1, C_eta2, A1 have the global delta_tau1 rescaling absorbed, so
+    the assembled system is Ct (x) I + I (x) (C_eta1 + C_eta2).
+
+    C_tau1 (the central derivative) and C_close (its closure row) are the
+    two parts of Ct with the raw 1/(2*delta_tau1) scale, as dense
+    N_tau1 x N_tau1 matrices for export and dense references.  They are
+    built on each read; the solver reads only Ct.
     """
 
-    C_tau1: np.ndarray
-    C_close: np.ndarray
+    spec: GridSpec
+    Ct: dia_array
     C_eta1: np.ndarray
     C_eta2: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
     rhs_hat: np.ndarray
     norm_b: float
+
+    @property
+    def C_tau1(self):
+        """The central part of Ct/delta_tau1 (build_time_derivative)."""
+        return build_time_derivative(self.spec)
+
+    @property
+    def C_close(self):
+        """e_{N-1} g^T/(2*delta_tau1), g = END_GHOST on columns N-3..N-1."""
+        N = self.spec.N_tau1
+        K = np.zeros((N, N))
+        cols, g = _closure_row(N)
+        K[N - 1, cols] = g
+        return K / (2.0 * self.spec.delta_tau1)
 
 
 def _check_integer(name, n):
@@ -157,10 +186,9 @@ def make_grid(params, n_eta, eps_target, scale_c=1.0, band=1.5, c_smooth=1.0,
     holds.
     """
     _check_n_eta(n_eta)
-    if not (math.isfinite(params.sigma) and params.sigma > 0):
+    if not params.sigma > 0:
         # the target time step below scales as 1/sigma^2
-        raise ValidationError(
-            f"sigma must be finite and > 0, got {params.sigma!r}")
+        raise ValidationError(f"sigma must be > 0, got {params.sigma!r}")
     if not 0 < eps_target < 1:
         raise ValidationError("eps_target must lie in (0, 1)")
     log_term = math.log(1.0 / eps_target)
@@ -195,8 +223,6 @@ def grid_spec_direct(params, n_eta, n_tau1, eps_target=1e-3, Delta=None):
     _check_integer("n_tau1", n_tau1)
     if n_tau1 < 1:
         raise ValidationError("n_tau1 must be >= 1")
-    if not math.isfinite(params.sigma):
-        raise ValidationError(f"sigma must be finite, got {params.sigma!r}")
     delta_hat = 2.0 / 2 ** n_eta
     if Delta is None:
         Delta = params.T / 4.0
@@ -235,23 +261,32 @@ def build_time_derivative(spec):
     return D / (2.0 * spec.delta_tau1)
 
 
-def build_time_closure(spec):
-    """Rank-one closure of the time system at tau1 = T.
+def _closure_row(N):
+    """Columns of row N-1 that the tau1 = T ghost reaches, and their
+    END_GHOST weights; a column N-3 < 0 is the tau1 = 0 slice and lives in
+    the right-hand side instead."""
+    cols = np.arange(N - 3, N)
+    return cols[cols >= 0], END_GHOST[cols >= 0]
+
+
+def build_time_operator(spec):
+    """Closed time operator Ct = delta_tau1*(C_tau1 + C_close), banded.
 
     The central row at the last interior node reads psi_N, the tau1 = T
     slice.  Replacing psi_N by its ghost value (END_GHOST extrapolation)
-    adds e_{N-1} g^T/(2*delta_tau1), g = END_GHOST on columns N-3..N-1, so
-    that the last row of C_tau1 + C_close is the BDF2 stencil
-    (psi_{N-3} - 4 psi_{N-2} + 3 psi_{N-1})/(2*delta_tau1).  A column
-    N-3 < 0 is the tau1 = 0 slice and lives in the right-hand side.
+    makes that row the BDF2 stencil (psi_{N-3} - 4 psi_{N-2} + 3 psi_{N-1})/2;
+    every other row is the central (psi_{t+1} - psi_{t-1})/2.  delta_tau1
+    cancels, so Ct holds only +-1/2 and the BDF2 row.  Returned as a
+    dia_array with offsets TIME_KU..-TIME_KL, whose `.data` is LAPACK band
+    storage: data[TIME_KU + i - j, j] = Ct[i, j].
     """
     N = spec.N_tau1
-    K = np.zeros((N, N))
-    for j, g in enumerate(END_GHOST):
-        col = N - 3 + j
-        if col >= 0:
-            K[N - 1, col] = g
-    return K / (2.0 * spec.delta_tau1)
+    data = np.zeros((TIME_KL + TIME_KU + 1, N))
+    data[TIME_KU - 1, 1:] = 0.5    # Ct[t, t+1]
+    data[TIME_KU + 1, :-1] = -0.5  # Ct[t+1, t]
+    cols, g = _closure_row(N)
+    data[TIME_KU + N - 1 - cols, cols] += g / 2.0
+    return dia_array((data, range(TIME_KU, -TIME_KL - 1, -1)), shape=(N, N))
 
 
 def eta_hat_diagonal(n_eta):
@@ -384,8 +419,9 @@ def build_rhs(spec, params, kink_shift=0.0):
 def build_operators(spec, params, kink_shift=0.0):
     """Build the full OperatorSet for one (spec, params) pair.
 
-    The spatial operators are composed here from their factors, so both
-    identities hold by construction:
+    The time operator is the band of build_time_operator.  The spatial
+    operators are composed here from their factors, so both identities
+    hold by construction:
 
     * diffusion, C_eta1 = A1 A2, is -delta_tau1 * (sigma^2 eta^2 / 2)
       d^2/d eta^2 in the spectral discretization, i.e. the diffusion
@@ -399,8 +435,8 @@ def build_operators(spec, params, kink_shift=0.0):
     drift = spec.delta_tau1 * ((params.r - params.q) * eta_nodes(spec, params)
                                - 1.0 / params.T)
     return OperatorSet(
-        C_tau1=build_time_derivative(spec),
-        C_close=build_time_closure(spec),
+        spec=spec,
+        Ct=build_time_operator(spec),
         C_eta1=np.diag(A1)[:, None] * A2,
         C_eta2=drift[:, None] * build_spectral_derivative(spec, params),
         A1=A1,

@@ -23,7 +23,6 @@ import numpy as np
 from scipy.linalg import schur
 from scipy.linalg.blas import zgemm, zgemv
 from scipy.linalg.lapack import zgbtrf, zgbtrs
-from scipy.sparse import dia_array
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .errors import (AliasingError, DimensionCapError, SingularFactorError,
@@ -44,10 +43,6 @@ EIGEN_FLOOR = 1e-30
 #: solve_pricing_system at 8 x 32 took 28 ms whole and 43 ms by columns,
 #: at 16 x 32 39 and 46 ms, and at 32 x 32 75 and 58 ms.
 BANDED_SYSTEM_DIM = 2 ** 9
-
-#: Lower and upper bandwidth of the closed time operator Ct: the BDF2
-#: closure row reaches two slices back, the central rows one either way.
-_KL, _KU = 2, 1
 
 
 @dataclass(frozen=True)
@@ -174,11 +169,12 @@ class SpaceTimeSystem:
     Ct X + X L^T, and M X = C is the Sylvester equation solved exactly by
     the Hessenberg-Schur method (Golub, Nash and Van Loan, IEEE TAC 24(6),
     1979).  Ct is banded, with lower bandwidth 2 (the closure row) and
-    upper bandwidth 1, and is kept in LAPACK band storage; only the
-    N_eta x N_eta L^T = V S V^H is brought to complex Schur form.  With
-    Z = X V and F = C V the equation becomes Ct Z + Z S = F, and since S
-    is upper triangular its columns solve in order, each as one shifted
-    banded system (Ct + S_jj I) z_j = f_j - Z[:, :j] S[:j, j]; then
+    upper bandwidth 1; grid.build_operators builds it in LAPACK band
+    storage, which is factored as it is (`ops.Ct.data`) and applied as
+    the dia_array it comes in.  Only the N_eta x N_eta L^T = V S V^H is
+    brought to complex Schur form.  With Z = X V and F = C V the equation
+    becomes Ct Z + Z S = F, and since S is upper triangular its columns
+    solve in order, each as one shifted banded system (Ct + S_jj I) z_j = f_j - Z[:, :j] S[:j, j]; then
     X = Z V^H.  Each Ct + S_jj I is LU-factored once (LAPACK zgbtrf), and
     M^H X = C runs the columns backwards through the same factors,
     conjugate-transposed.  Ct is not normal (its closure row), which this
@@ -208,16 +204,13 @@ class SpaceTimeSystem:
         self.spec = spec
         self.norm_b = ops.norm_b
         shape = (spec.N_tau1, spec.N_eta)
-        band = _band(spec.delta_tau1 * (ops.C_tau1 + ops.C_close))
+        Ct = ops.Ct
         Lt = (ops.C_eta1 + ops.C_eta2).T
         S, V = schur(Lt, output="complex")
         if spec.dim <= BANDED_SYSTEM_DIM:
-            solve_schur = _whole_solver(band, S)
+            solve_schur = _whole_solver(Ct.data, S)
         else:
-            solve_schur = _column_solver(band, S)
-        # scipy's DIA format reads the band storage as it is
-        Ct = dia_array((band, range(_KU, -_KL - 1, -1)),
-                       shape=(spec.N_tau1, spec.N_tau1))
+            solve_schur = _column_solver(Ct.data, S)
         Ct_adj = Ct.T  # Ct is real
         a1 = np.diag(ops.A1)
         a1_inv = np.diag(fast_invert_exact("A1", spec, params))
@@ -303,16 +296,6 @@ def _blocks(mat):
                                else zgemm(1.0, X, mat, trans_b=1))
 
 
-def _band(Ct):
-    """Ct in LAPACK band storage: band[_KU + i - j, j] = Ct[i, j]."""
-    n = Ct.shape[0]
-    band = np.zeros((_KL + _KU + 1, n))
-    for r in range(_KL + _KU + 1):
-        s = r - _KU  # row r holds the diagonal Ct[j + s, j]
-        band[r, max(-s, 0):n - max(s, 0)] = np.diagonal(Ct, -s)
-    return band
-
-
 def _band_lu(band, kl, ku, shift):
     """LU factors (zgbtrf) of band + shift*I, band in LAPACK band storage."""
     ab = np.zeros((kl + band.shape[0], band.shape[1]), dtype=complex)
@@ -332,7 +315,8 @@ def _column_solver(band, S):
     Fortran order, as zgemm returns it).
     """
     n = S.shape[0]
-    factors = [_band_lu(band, _KL, _KU, shift) for shift in np.diag(S)]
+    kl, ku = grid_mod.TIME_KL, grid_mod.TIME_KU
+    factors = [_band_lu(band, kl, ku, shift) for shift in np.diag(S)]
     S = np.asfortranarray(S)
     S_adj = np.asfortranarray(S.conj().T)  # lower triangular
 
@@ -347,7 +331,7 @@ def _column_solver(band, S):
                 zgemv(-1.0, F[:, done], S_cols[done, j], beta=1.0,
                       y=F[:, j], overwrite_y=1)
             lu, piv = factors[j]
-            zgbtrs(lu, _KL, _KU, F[:, j:j + 1], piv, trans=trans,
+            zgbtrs(lu, kl, ku, F[:, j:j + 1], piv, trans=trans,
                    overwrite_b=1)
         return F
     return solve
@@ -361,7 +345,7 @@ def _whole_solver(band, S):
     lands on diagonal s*N_eta, and S^T fills diagonals 0..N_eta-1.
     """
     n_eta = S.shape[0]
-    kl, ku = _KL * n_eta, _KU * n_eta
+    kl, ku = grid_mod.TIME_KL * n_eta, grid_mod.TIME_KU * n_eta
     whole = np.zeros((kl + ku + 1, band.shape[1] * n_eta), dtype=complex)
     whole[::n_eta] = np.repeat(band, n_eta, axis=1)
     for d in range(n_eta):

@@ -161,7 +161,7 @@ class TestComposition:
         M, rhs, A, B = assemble_system(spec, p)
         a1_inv = np.diag(1.0 / np.diag(qa.build_A1(spec, p)))
         Ct = spec.delta_tau1 * (qa.build_time_derivative(spec)
-                                + qa.build_time_closure(spec))
+                                + qa.build_operators(spec, p).C_close)
         t1 = np.kron(Ct, a1_inv)
         t2 = np.kron(np.eye(spec.N_tau1),
                      a1_inv @ qa.build_operators(spec, p).C_eta2)

@@ -159,6 +159,23 @@ class TestExitCodes:
         assert run_config(tmp_path, config, "price") == 2
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"params": {"K": float("nan")}},
+        {"oracle": {"S0": -1.0}},
+        {"oracle": {"S0": 0.0}},
+        {"params": {"r": float("nan")}},
+        {"params": {"q": float("nan")}},
+        {"params": {"eta_max": float("nan")}},
+    ], ids=["nan-strike", "negative-spot", "zero-spot", "nan-rate",
+            "nan-dividend", "nan-eta-max"])
+    def test_non_finite_market_input(self, tmp_path, capsys, config):
+        # a non-finite market input, or a spot <= 0, is rejected before
+        # any numerics, not priced as nan or ended on an internal error
+        assert run_config(tmp_path, config, "price") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error")
+        assert len(err.splitlines()) == 1
+
     def test_dimension_cap(self, tmp_path, capsys, monkeypatch):
         # sigma = 1, n_eta = 8 resolves 2^11 x 2^8 unknowns, past the cap;
         # the run stops before any operator is built

@@ -219,7 +219,7 @@ class TestAssemble:
         M, rhs, A, B = assemble_system(spec, p)
         ops = qa.build_operators(spec, p)
         Ct = spec.delta_tau1 * (qa.build_time_derivative(spec)
-                                + qa.build_time_closure(spec))
+                                + ops.C_close)
         # the closure puts a nonzero diagonal in Ct, so the spatial
         # summands are added first, as the assembly does, for exact equality
         total = (np.kron(Ct, np.eye(spec.N_eta))
@@ -239,16 +239,19 @@ class TestAssemble:
         for n in (1, 2, 3):
             spec = qa.grid_spec_direct(params(), 2, n)
             N = spec.N_tau1
-            Ct = spec.delta_tau1 * (qa.build_time_derivative(spec)
-                                    + qa.build_time_closure(spec))
-            expect = np.zeros(N)
-            expect[N - 2:] = [-2.0, 1.5]
-            if N >= 3:
-                expect[N - 3] = 0.5
-            assert np.max(np.abs(Ct[-1] - expect)) < 1e-14
-            # rows above the last keep the central stencil
-            central = spec.delta_tau1 * qa.build_time_derivative(spec)
-            assert np.array_equal(Ct[:-1], central[:-1])
+            ops = qa.build_operators(spec, params())
+            # the dense parts summed, and the band the solver factors
+            for Ct in (spec.delta_tau1 * (qa.build_time_derivative(spec)
+                                          + ops.C_close),
+                       ops.Ct.toarray()):
+                expect = np.zeros(N)
+                expect[N - 2:] = [-2.0, 1.5]
+                if N >= 3:
+                    expect[N - 3] = 0.5
+                assert np.max(np.abs(Ct[-1] - expect)) < 1e-14
+                # rows above the last keep the central stencil
+                central = spec.delta_tau1 * qa.build_time_derivative(spec)
+                assert np.array_equal(Ct[:-1], central[:-1])
         # the closure needs at least two interior slices
         with pytest.raises(ValidationError):
             qa.grid_spec_direct(params(), 2, 0)

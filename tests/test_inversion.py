@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -227,6 +228,20 @@ class TestSpaceTimeSystem:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_memory_linear_in_time_register(self):
+        # a tall grid (4096 x 4) keeps its time operator as a band; dense
+        # N_tau1 x N_tau1 time matrices would peak at 384 MB
+        p = params()
+        spec = qa.grid_spec_direct(p, 2, 12)
+        tracemalloc.start()
+        try:
+            W = qa.inversion.SpaceTimeSystem(spec, p)
+            qa.solve_system(W, W.rhs_pre)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, f"tracemalloc peak {peak / 2 ** 20:.1f} MB"
 
 
 class TestSolveSystem:
