@@ -217,15 +217,15 @@ def _price_from_state(state, spec, params, cfg, est, scale):
         raise QasianError(f"eta0 = {eta0:.6g} lies outside the eta domain")
     eta = grid.eta_nodes(spec, params)
     x = int(np.clip(np.searchsorted(eta, eta0) - 1, 0, spec.N_eta - 2))
-    amps = np.asarray(state.amplitudes)
+    prob = np.abs(np.asarray(state.amplitudes).reshape(
+        spec.N_tau1, spec.N_eta)) ** 2
 
     def slice_abs(t):
         if t < 0:  # the tau1 = 0 slice is the payoff itself
             return grid.psi0(params, eta[x:x + 2],
                              kink_shift=cfg["kink_shift"])
         return np.array([math.sqrt(scale * extraction.estimate_rectangle(
-            amps, spec.n_tau1, spec.n_eta, t, t, c, c, est)[0])
-            for c in (x, x + 1)])
+            prob, t, t, c, c, est)[0]) for c in (x, x + 1)])
 
     N_t = spec.N_tau1
     psi_T = sum(g * slice_abs(t)

@@ -137,14 +137,20 @@ def estimate_window_integral(state, x_i, x_f, est, plan=None):
     return total / N, err / N
 
 
-def estimate_rectangle(amps, n_t, n_x, t_lo, t_hi, x_lo, x_hi, est):
+def estimate_rectangle(prob, t_lo, t_hi, x_lo, x_hi, est):
     """Raw probability sum over a (time, eta) index rectangle.
 
-    Composes the two registers' segmentation plans: every pair of
-    segments shifts both registers and measures all-zeros on both top
+    prob is the (2^n_t, 2^n_x) table of squared amplitudes, squared once
+    by the caller for all its rectangles; n_t and n_x come from its
+    shape.  Composes the two registers' segmentation plans: every pair
+    of segments shifts both registers and measures all-zeros on both top
     blocks jointly, one amplitude estimation per pair.
     """
-    prob = np.abs(np.asarray(amps).reshape(2 ** n_t, 2 ** n_x)) ** 2
+    prob = np.asarray(prob)
+    if prob.ndim != 2 or any(N < 1 or N & (N - 1) for N in prob.shape):
+        raise ValidationError(f"need a 2-D probability table with "
+                              f"power-of-two sides, got shape {prob.shape}")
+    n_t, n_x = (N.bit_length() - 1 for N in prob.shape)
     plan_t = plan_segments(t_lo, t_hi, n_t)
     plan_x = plan_segments(x_lo, x_hi, n_x)
     blocks = (prob[wt:wt + 2 ** (n_t - mt), wx:wx + 2 ** (n_x - mx)]
@@ -286,10 +292,19 @@ class Interpolant2D:
         # integrates up to s_node + h/2; undo the half-cell offset by
         # reading the derivative at s - h/2 on each axis (removes the
         # O(h) bias, leaving the O(h^2) midpoint error).
-        st = np.asarray(s_t, dtype=float) - 1.0 / self.Nt_win
-        sx = np.asarray(s_x, dtype=float) - 1.0 / self.N_x
-        st, sx = np.broadcast_arrays(st, sx)
-        dens = C.chebval2d(st, sx, self.density_coeffs)
+        #
+        # A tensor lattice (s_t constant along axis 1, s_x along axis 0)
+        # is evaluated from its two axis vectors: the same Clenshaw
+        # recurrence per point, without (M, N_t, N_x) temporaries.
+        st, sx = np.broadcast_arrays(np.asarray(s_t, dtype=float),
+                                     np.asarray(s_x, dtype=float))
+        if st.ndim == 2 and st.size and np.all(st == st[:, :1]) \
+                and np.all(sx == sx[:1, :]):
+            dens = C.chebgrid2d(st[:, 0] - 1.0 / self.Nt_win,
+                                sx[0] - 1.0 / self.N_x, self.density_coeffs)
+        else:
+            dens = C.chebval2d(st - 1.0 / self.Nt_win, sx - 1.0 / self.N_x,
+                               self.density_coeffs)
         return self.scale * dens * 4.0 / (self.Nt_win * self.N_x)
 
     def psi(self, tau1, eta):
@@ -364,19 +379,19 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
         raise ValidationError("state dimension does not match grid spec")
     M_t = int(cfg["M_tau1"])
     M_x = int(cfg["M_eta"])
-    n_t, n_x = spec.n_tau1, spec.n_eta
     N_t, N_x = spec.N_tau1, spec.N_eta
     t_lo, Nt_win = time_window(spec)
 
     nidx_t, s_t = mock_cheb_nodes(M_t, Nt_win, t_lo, N_t - 1)
     nidx_x, s_x = mock_cheb_nodes(M_x, N_x, 0, N_x - 1)
 
+    prob = np.abs(amps.reshape(N_t, N_x)) ** 2
     G = np.empty((M_t, M_x))
     err_G = 0.0
     for k in range(M_t):
         for l in range(M_x):
             G[k, l], e = estimate_rectangle(
-                amps, n_t, n_x, t_lo, int(nidx_t[k]), 0, int(nidx_x[l]), est)
+                prob, t_lo, int(nidx_t[k]), 0, int(nidx_x[l]), est)
             err_G = max(err_G, e)
 
     # tensor fit a = Vt^-1 G Vx^-T in the u basis, then fold the basis

@@ -1,6 +1,8 @@
+import tracemalloc
 import warnings
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 import pytest
 
 import qasian as qa
@@ -95,7 +97,8 @@ ZERO_HALF = np.r_[np.zeros(8), np.full(8, 8 ** -0.5)].astype(complex)
 @pytest.mark.parametrize("read", [
     lambda est: qa.estimate_window_integral(ZERO_HALF, 0, 7, est),
     # rows 0-1 of the 4 x 4 (time, eta) register: the same zero block
-    lambda est: qa.estimate_rectangle(ZERO_HALF, 2, 2, 0, 1, 0, 3, est),
+    lambda est: qa.estimate_rectangle(np.abs(ZERO_HALF.reshape(4, 4)) ** 2,
+                                      0, 1, 0, 3, est),
 ], ids=["window", "rectangle"])
 class TestNoiseDomination:
     def test_stochastic_warns_on_zero_block(self, read):
@@ -108,6 +111,90 @@ class TestNoiseDomination:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             read(qa.AmplitudeEstimator(mode="exact", eps_prime=1e-3))
+
+
+class TestRectangle:
+    def test_exact_matches_block_sums_and_call_count(self):
+        amps = random_state(9, 17).amplitudes
+        prob = np.abs(amps.reshape(32, 16)) ** 2
+        est = qa.AmplitudeEstimator(mode="exact")
+        for t_lo in range(32):
+            for t_hi in range(t_lo, 32):
+                pop_t = bin(t_hi - t_lo + 1).count("1")
+                for x_lo in range(16):
+                    for x_hi in range(x_lo, 16):
+                        calls = est.calls
+                        v, _ = qa.estimate_rectangle(prob, t_lo, t_hi,
+                                                     x_lo, x_hi, est)
+                        truth = np.sum(prob[t_lo:t_hi + 1, x_lo:x_hi + 1])
+                        assert abs(v - truth) <= 1e-15
+                        assert est.calls - calls == \
+                            pop_t * bin(x_hi - x_lo + 1).count("1")
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 2, 4), (3, 4), (4, 6),
+                                       (0, 4)])
+    def test_rejects_table_without_power_of_two_sides(self, shape):
+        with pytest.raises(ValidationError):
+            qa.estimate_rectangle(np.full(shape, 1.0 / 16), 0, 0, 0, 0,
+                                  qa.AmplitudeEstimator(mode="exact"))
+
+
+class TestPsiSqLattice:
+    """psi_sq's tensor-lattice path against point-by-point chebval2d."""
+
+    @staticmethod
+    def _interp():
+        rng = np.random.default_rng(5)
+        return ex.Interpolant2D(
+            density_coeffs=rng.normal(size=(7, 5)), nodes_t=None,
+            nodes_x=None, Nt_win=128, N_x=32, t_lo=0, delta_tau1=1 / 128,
+            eta_max=1.0, scale=1.7)
+
+    @staticmethod
+    def _pointwise(it, s_t, s_x):
+        st, sx = np.broadcast_arrays(np.asarray(s_t, dtype=float),
+                                     np.asarray(s_x, dtype=float))
+        dens = C.chebval2d(st - 1.0 / it.Nt_win, sx - 1.0 / it.N_x,
+                           it.density_coeffs)
+        return it.scale * dens * 4.0 / (it.Nt_win * it.N_x)
+
+    @staticmethod
+    def _centres(N):
+        return -1.0 + (2.0 * np.arange(N) + 1.0) / N
+
+    def _cases(self):
+        t, x = self._centres(128), self._centres(32)
+        sq = np.meshgrid(t, t, indexing="ij")
+        rect = np.meshgrid(t, x, indexing="ij")
+        perm = np.random.default_rng(3).permutation(t.size * x.size)
+        shuffled = [a.reshape(-1)[perm].reshape(a.shape) for a in rect]
+        return {"square": sq, "non-square": rect,
+                "broadcast": (t[:, None], x[None, :]),
+                "scalar": (0.3, -0.7), "1-D": (t[:32], x),
+                "scalar-1-D": (0.3, x), "shuffled": shuffled}
+
+    def test_bit_identical_to_pointwise(self):
+        it = self._interp()
+        for name, (s_t, s_x) in self._cases().items():
+            got = it.psi_sq(s_t, s_x)
+            assert np.array_equal(got, self._pointwise(it, s_t, s_x)), name
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_zero_size_lattice(self, shape):
+        out = self._interp().psi_sq(np.zeros(shape), np.zeros(shape))
+        assert out.shape == shape
+
+    def test_lattice_memory(self):
+        s = self._centres(2 ** 9)
+        st, sx = np.meshgrid(s, s, indexing="ij")
+        it = self._interp()
+        tracemalloc.start()
+        try:
+            it.psi_sq(st, sx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * st.nbytes
 
 
 class TestMockChebNodes:
