@@ -23,7 +23,7 @@ from .inversion import (QPEConfig, PreconditionReport, window_state,
 from .extraction import (SegmentationPlan, AmplitudeEstimator, Interpolant2D,
                          plan_segments, estimate_window_integral,
                          estimate_rectangle, mock_cheb_nodes, fit_interpolant,
-                         differentiate_interpolant, positive_shift_sqrt,
+                         differentiate_interpolant, positive_shift,
                          extract_psi_2d)
 from .oracle import (PriceQuote, crank_nicolson_solve, monte_carlo_price,
                      price_from_psi, brute_prefix_sum, eta_of)

@@ -22,12 +22,19 @@ from .grid import build_centered_dft, eta_hat_diagonal
 
 @dataclass
 class StateVector:
-    """Normalized amplitudes of a power-of-two register."""
+    """Normalized amplitudes of a power-of-two register.
+
+    Real amplitudes are kept real (float64), complex ones complex
+    (complex128): a real solution state costs half the memory, and
+    |amplitude|^2 is the same either way.
+    """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        self.amplitudes = np.asarray(
+            amps, dtype=complex if np.iscomplexobj(amps) else float)
         n = self.amplitudes.size
         if n & (n - 1):
             raise ValidationError("amplitude count must be a power of two")

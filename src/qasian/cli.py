@@ -248,11 +248,12 @@ def _emit_extraction_csvs(out, spec, params, result):
                          f"{result.psi_nodes[k, l]:.12g}\n")
     eta = grid.eta_nodes(spec, params)
     tau1 = spec.delta_tau1 * (interp.t_lo + 1 + np.arange(interp.Nt_win))
+    surface = np.reshape(interp.psi(tau1[:, None], eta[None, :]),
+                         (tau1.size, eta.size))
     with open(os.path.join(out, "surface.csv"), "w") as fh:
         fh.write("tau1,eta,psi\n")
-        for t in tau1:
-            vals = interp.psi(t, eta)
-            for x, v in zip(eta, np.atleast_1d(vals)):
+        for t, row in zip(tau1, surface):
+            for x, v in zip(eta, row):
                 fh.write(f"{t:.12g},{x:.12g},{v:.12g}\n")
 
 

@@ -18,6 +18,11 @@ Conventions used throughout the package:
 * The centered DFT uses half-integer frequency/position indices in
   ascending order; it spans antiperiodic functions exp(i*pi*k*eta/eta_max)
   with half-integer k.
+* Every operator of the system is real (float64).  A2's multiplier
+  eta_hat^2/delta_hat^2 is even in k and D_eta's i*eta_hat is odd, so
+  their Fourier products are real (fourier_multiplier checks this), and
+  the system Ct (x) I + I (x) (C_eta1 + C_eta2) is solved in real
+  arithmetic.
 * Time nodes are the interior points tau1_t = (t+1)*delta_tau1 with
   delta_tau1 = T/(2^n_tau1 + 1), t = 0..N_tau1-1.  The slice tau1 = 0
   carries the initial profile psi0 and is folded into the right-hand
@@ -126,7 +131,8 @@ class OperatorSet:
     Ct is the closed time operator delta_tau1*(C_tau1 + C_close) as a
     dia_array whose `.data` is its LAPACK band storage (build_time_operator).
     C_eta1, C_eta2, A1 have the global delta_tau1 rescaling absorbed, so
-    the assembled system is Ct (x) I + I (x) (C_eta1 + C_eta2).
+    the assembled system is Ct (x) I + I (x) (C_eta1 + C_eta2).  Every
+    operator is a real (float64) array.
 
     C_tau1 (the central derivative) and C_close (its closure row) are the
     two parts of Ct with the raw 1/(2*delta_tau1) scale, as dense
@@ -330,10 +336,28 @@ def build_centered_dft(n):
     return np.exp(-2j * np.pi * phase / N) / np.sqrt(N)
 
 
+#: Largest imaginary part, relative to the largest real entry, that
+#: fourier_multiplier drops as rounding.
+IMAG_TOL = 1e-12
+
+
 def fourier_multiplier(n, d):
-    """F_c^dag diag(d) F_c on n qubits: D_eta, A2 and A2^-1 are built so."""
+    """F_c^dag diag(d) F_c on n qubits, as a real matrix.
+
+    D_eta, A2 and A2^-1 are built so.  Over the symmetric half-integer
+    frequencies k, entry (x, y) is sum_k d_k exp(2 pi i k (x - y)/N)/N,
+    which is real when d is real and even in k (a cosine sum) or
+    imaginary and odd (a sine sum), as every multiplier here is.  The product is
+    formed in complex arithmetic; its imaginary part is dropped only if
+    it is rounding, otherwise ValidationError.
+    """
     F = build_centered_dft(n)
-    return F.conj().T @ (d[:, None] * F)
+    m = F.conj().T @ (d[:, None] * F)
+    if np.max(np.abs(m.imag)) > IMAG_TOL * np.max(np.abs(m.real)):
+        raise ValidationError(
+            "Fourier multiplier is not real: it must be real and even, or "
+            "imaginary and odd, over the centered frequencies")
+    return m.real.copy()
 
 
 def a2_eigenvalues(spec):
@@ -346,10 +370,11 @@ def build_spectral_derivative(spec, params):
 
     Delta_eta = i*(pi/(delta_hat*eta_max)) * F_c^dag eta_hat F_c, which
     differentiates the antiperiodic waves exp(i*pi*k*eta/eta_max)
-    (half-integer k) exactly.  Anti-Hermitian by construction.
+    (half-integer k) exactly.  Real and antisymmetric: the multiplier
+    i*eta_hat is imaginary and odd.
     """
     scale = 1j * np.pi / (spec.delta_eta_hat * params.eta_max)
-    return scale * fourier_multiplier(spec.n_eta, eta_hat_diagonal(spec.n_eta))
+    return fourier_multiplier(spec.n_eta, scale * eta_hat_diagonal(spec.n_eta))
 
 
 def build_A1(spec, params):

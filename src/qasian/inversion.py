@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.linalg.blas import zgemm, zgemv
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .errors import (AliasingError, DimensionCapError, SingularFactorError,
@@ -30,19 +30,27 @@ from .errors import (AliasingError, DimensionCapError, SingularFactorError,
 from . import grid as grid_mod
 
 #: Largest space-time dimension N_tau1 * N_eta the solver accepts.  On a
-#: shared 2-core x86 VM, sigma=1, n_eta=7 (512 x 128, dim 2^16) solved
-#: with its condition report in 1.7-3.5 s and sigma=0.5, n_eta=8
-#: (512 x 256, dim 2^17) in 4.4-8.3 s, at a peak RSS of 152 MB.
+#: shared 2-core x86 VM with 2 BLAS threads, sigma=1, n_eta=7 (512 x 128,
+#: dim 2^16) solved with its condition report in 1.6-2.9 s at a peak RSS
+#: of 88 MB, and sigma=0.5, n_eta=8 (512 x 256, dim 2^17) in 4.0-4.8 s
+#: at 114 MB.
 DIM_CAP = 2 ** 17
 
 #: Smallest eigenvalue magnitude fast_invert_exact reciprocates.
 EIGEN_FLOOR = 1e-30
 
 #: Largest dimension whose Schur-transformed system is solved as one
-#: banded matrix rather than column by column.  On a 2-core x86 VM a
-#: solve_pricing_system at 8 x 32 took 28 ms whole and 43 ms by columns,
-#: at 16 x 32 39 and 46 ms, and at 32 x 32 75 and 58 ms.
-BANDED_SYSTEM_DIM = 2 ** 9
+#: banded matrix rather than block by block.  Per solve, both paths do
+#: arithmetic growing as dim * N_eta, the whole band several times more,
+#: and the blocks add a fixed call cost per block, about N_eta of them:
+#: the crossing is set by dim alone.  On a shared 2-core x86 VM
+#: (solve_pricing_system with its report, medians of 7 calls, 5
+#: alternating rounds) the whole band was faster at dim 1024 in 19 of 20
+#: rounds (32 x 32: 20-38 ms against 27-48 ms by blocks; 16 x 64 and
+#: 8 x 128), and slower at dim 2048 in 12 of 15 (64 x 32, 32 x 64,
+#: 16 x 128) and at dim 4096 in 5 of 5 (128 x 32: 79-109 against
+#: 52-82 ms).
+BANDED_SYSTEM_DIM = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -165,34 +173,41 @@ class SpaceTimeSystem:
 
     The assembled system is the Kronecker sum M = Ct (x) I + I (x) L,
     with Ct = delta_tau1*(C_tau1 + C_close) the closed time operator and
-    L = C_eta1 + C_eta2.  On X = x.reshape(N_tau1, N_eta) it acts as
-    Ct X + X L^T, and M X = C is the Sylvester equation solved exactly by
-    the Hessenberg-Schur method (Golub, Nash and Van Loan, IEEE TAC 24(6),
-    1979).  Ct is banded, with lower bandwidth 2 (the closure row) and
-    upper bandwidth 1; grid.build_operators builds it in LAPACK band
-    storage, which is factored as it is (`ops.Ct.data`) and applied as
-    the dia_array it comes in.  Only the N_eta x N_eta L^T = V S V^H is
-    brought to complex Schur form.  With Z = X V and F = C V the equation
-    becomes Ct Z + Z S = F, and since S is upper triangular its columns
-    solve in order, each as one shifted banded system (Ct + S_jj I) z_j = f_j - Z[:, :j] S[:j, j]; then
-    X = Z V^H.  Each Ct + S_jj I is LU-factored once (LAPACK zgbtrf), and
-    M^H X = C runs the columns backwards through the same factors,
-    conjugate-transposed.  Ct is not normal (its closure row), which this
+    L = C_eta1 + C_eta2, both real.  On X = x.reshape(N_tau1, N_eta) it
+    acts as Ct X + X L^T, and M X = C is the Sylvester equation solved
+    exactly, in real arithmetic, by the Hessenberg-Schur method (Golub,
+    Nash and Van Loan, IEEE TAC 24(6), 1979).  Ct is banded, with lower
+    bandwidth 2 (the closure row) and upper bandwidth 1;
+    grid.build_operators builds it in LAPACK band storage, which is
+    factored as it is (`ops.Ct.data`) and applied as the dia_array it
+    comes in.  Only the N_eta x N_eta L^T = V T V^T is brought to real
+    Schur form: V is orthogonal and T quasi-upper-triangular, with a 1 x 1
+    diagonal block per real eigenvalue of L and a 2 x 2 block per complex
+    pair.  With Z = X V and F = C V the equation becomes Ct Z + Z T = F,
+    and its column blocks solve in order: block J takes
+    Ct Z_J + Z_J T_JJ = F_J - Z[:, :J] T[:J, J], which in time-major order
+    is one banded system Ct (x) I + I (x) T_JJ^T with bandwidths
+    (2 b, b) for a block of b columns (dgbtrf once per block, then
+    dgbtrs per solve).  A 1 x 1 block is the shifted time system
+    Ct + T_jj I.  M^T X = C runs the blocks backwards through the same
+    factors, transposed.  Ct is not normal (its closure row), which this
     route does not need.  The factors grow as N_eta^2 + N_eta*N_tau1 + dim.
 
-    Up to dim BANDED_SYSTEM_DIM the column loop costs more in calls than
-    in arithmetic, so Ct Z + Z S = F is instead solved whole: in time-major
-    order it is one banded matrix Ct (x) I + I (x) S^T with bandwidths
-    (2 N_eta, N_eta), factored once and stored in (5 N_eta + 1) * dim
-    entries.
+    Up to dim BANDED_SYSTEM_DIM the block loop costs more in calls than
+    in arithmetic, so the partition is a single block of all N_eta
+    columns: Ct (x) I + I (x) T^T, bandwidths (2 N_eta, N_eta) because T^T
+    reaches only one diagonal above the main one, factored once and
+    stored in (5 N_eta + 1) * dim entries.
 
     The split of the dense reference assembly follows from M without
     forming it: A + B = (I (x) A1^-1) M, A = I (x) A2, B = (A + B) - A and
-    W = I + A^-1 B = (I (x) A2^-1) (A + B).  They are kept as
-    LinearOperators (`AB`, `AB_inv`, `B`, `W`, `W_inv`) that close over
-    the factors, never over the system, so that a system holds no
-    reference to itself and is freed as soon as its caller drops it.  The
-    object stands for W x = rhs_pre: `system @ x` is W x and
+    W = I + A^-1 B = (I (x) A2^-1) (A + B).  They are kept as real
+    LinearOperators (`AB`, `AB_inv`, `B`, `W`, `W_inv`), so that the
+    report's ARPACK runs are real symmetric Lanczos on X^T X; a complex
+    vector is applied as its real and imaginary parts.  The operators
+    close over the factors, never over the system, so that a system
+    holds no reference to itself and is freed as soon as its caller drops
+    it.  The object stands for W x = rhs_pre: `system @ x` is W x and
     `system.solve(r)` is W^-1 r.
     """
 
@@ -206,32 +221,33 @@ class SpaceTimeSystem:
         shape = (spec.N_tau1, spec.N_eta)
         Ct = ops.Ct
         Lt = (ops.C_eta1 + ops.C_eta2).T
-        S, V = schur(Lt, output="complex")
+        T, V = schur(Lt, output="real")
         if spec.dim <= BANDED_SYSTEM_DIM:
-            solve_schur = _whole_solver(Ct.data, S)
+            blocks = [(0, spec.N_eta)]
         else:
-            solve_schur = _column_solver(Ct.data, S)
-        Ct_adj = Ct.T  # Ct is real
+            blocks = _schur_blocks(T)
+        solve_schur = _block_solver(Ct.data, T, blocks)
+        Ct_adj = Ct.T
         a1 = np.diag(ops.A1)
         a1_inv = np.diag(fast_invert_exact("A1", spec, params))
         apply_A = _blocks(ops.A2)
         apply_A2_inv = _blocks(fast_invert_exact("A2", spec, params))
 
-        # Products go through scipy's BLAS (zgemm, zgemv; trans 1 = T,
-        # 2 = H), the library zgbtrs and ARPACK use: numpy ships its own
-        # OpenBLAS, and interleaving the two libraries' thread pools slowed
-        # the report five-fold on two cores.
+        # Products go through scipy's BLAS (dgemm; trans_b=1 is the
+        # transpose), the library dgbtrs and ARPACK use: numpy ships its
+        # own OpenBLAS, and interleaving the two libraries' thread pools
+        # slowed the report five-fold on two cores.
 
         def apply(X, adjoint):
-            """M X = Ct X + X L^T, or M^H X = Ct^H X + X conj(L)."""
+            """M X = Ct X + X L^T, or M^T X = Ct^T X + X L."""
             if adjoint:
-                return Ct_adj @ X + zgemm(1.0, X, Lt, trans_b=2)
-            return Ct @ X + zgemm(1.0, X, Lt)
+                return Ct_adj @ X + dgemm(1.0, X, Lt, trans_b=1)
+            return Ct @ X + dgemm(1.0, X, Lt)
 
         def solve(X, adjoint):
-            """M^-1 X, or M^-H X, through Ct Z + Z S = X V."""
-            return zgemm(1.0, solve_schur(zgemm(1.0, X, V), adjoint), V,
-                         trans_b=2)
+            """M^-1 X, or M^-T X, through Ct Z + Z T = X V."""
+            return dgemm(1.0, solve_schur(dgemm(1.0, X, V), adjoint), V,
+                         trans_b=1)
 
         def ab(X, adjoint):
             """A + B = (I (x) A1^-1) M, A1 a column scaling."""
@@ -275,89 +291,98 @@ class SpaceTimeSystem:
 
 
 def _operator(shape, on_grid):
-    """LinearOperator on flat vectors of on_grid(X, adjoint), a map of grids."""
+    """Real LinearOperator on flat vectors of on_grid(X, adjoint), a real
+    map of grids; a complex vector is mapped as its two real parts."""
     dim = shape[0] * shape[1]
-    return LinearOperator(
-        (dim, dim), dtype=complex,
-        matvec=lambda x: on_grid(x.reshape(shape), False).reshape(-1),
-        rmatvec=lambda x: on_grid(x.reshape(shape), True).reshape(-1))
+
+    def on_vector(adjoint):
+        def real(x):
+            return on_grid(x.reshape(shape), adjoint).reshape(-1)
+        # no recursion: a self-referencing closure would be a cycle
+        return lambda x: (real(x.real) + 1j * real(x.imag)
+                          if np.iscomplexobj(x) else real(x))
+    return LinearOperator((dim, dim), dtype=float, matvec=on_vector(False),
+                          rmatvec=on_vector(True))
 
 
 def _compose(outer, inner):
-    """The map of grids outer . inner, whose adjoint is inner^H . outer^H."""
+    """The map of grids outer . inner, whose adjoint is inner^T . outer^T."""
     return lambda X, adjoint: (inner(outer(X, True), True) if adjoint
                                else outer(inner(X, False), False))
 
 
 def _blocks(mat):
     """I (x) mat as a map of grids: X -> X mat^T."""
-    mat_conj = mat.conj()
-    return lambda X, adjoint: (zgemm(1.0, X, mat_conj) if adjoint
-                               else zgemm(1.0, X, mat, trans_b=1))
+    return lambda X, adjoint: (dgemm(1.0, X, mat) if adjoint
+                               else dgemm(1.0, X, mat, trans_b=1))
 
 
-def _band_lu(band, kl, ku, shift):
-    """LU factors (zgbtrf) of band + shift*I, band in LAPACK band storage."""
-    ab = np.zeros((kl + band.shape[0], band.shape[1]), dtype=complex)
-    ab[kl:] = band  # zgbtrf fills the top kl rows with U's fill-in
-    ab[kl + ku] += shift
-    lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
+def _schur_blocks(T):
+    """Column ranges [lo, hi) of the 1 x 1 and 2 x 2 diagonal blocks of a
+    real Schur form T: a nonzero T[j, j-1] joins column j to j-1."""
+    n = T.shape[0]
+    starts = [j for j in range(n) if j == 0 or T[j, j - 1] == 0.0]
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _block_lu(band, Tb):
+    """LU factors (dgbtrf) of Ct (x) I + I (x) Tb^T in time-major order.
+
+    band is Ct in LAPACK band storage and Tb a b x b diagonal block of T.
+    Ct's diagonal s lands on diagonal s*b, so the bandwidths are
+    (TIME_KL b, TIME_KU b); Tb^T fills diagonals -1..b-1 of each b x b
+    time block (T is zero below its first subdiagonal).
+    """
+    b = Tb.shape[0]
+    kl, ku = grid_mod.TIME_KL * b, grid_mod.TIME_KU * b
+    ab = np.zeros((2 * kl + ku + 1, band.shape[1] * b))
+    # dgbtrf fills the top kl rows with U's fill-in
+    ab[kl::b] = np.repeat(band, b, axis=1)
+    for d in range(-1, b):
+        # Tb^T[k, k - d] = Tb[k - d, k] on diagonal d
+        ab[kl + ku + d] += np.tile(
+            np.pad(np.diagonal(Tb, d), (max(-d, 0), max(d, 0))),
+            band.shape[1])
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info != 0:
         raise SingularFactorError(
             "Ct and -L share an eigenvalue: the system is singular")
     return lu, piv
 
 
-def _column_solver(band, S):
-    """(F, adjoint) -> Z with Ct Z + Z S = F, or Ct^H Z + Z S^H = F.
+def _block_solver(band, T, blocks):
+    """(F, adjoint) -> Z with Ct Z + Z T = F, or Ct^T Z + Z T^T = F.
 
-    One shifted banded solve per column, in place on F's columns (F in
-    Fortran order, as zgemm returns it).
+    blocks partitions T's columns into ranges [lo, hi) that no 2 x 2
+    diagonal block straddles.  Each block is one banded solve (_block_lu),
+    after subtracting the coupling to the blocks already solved: the
+    earlier ones through T's columns, or, for the adjoint, the later ones
+    through T^T's.  Works in place on F's columns (F in Fortran order, as
+    dgemm returns it); a block of one column is solved without a copy.
     """
-    n = S.shape[0]
-    kl, ku = grid_mod.TIME_KL, grid_mod.TIME_KU
-    factors = [_band_lu(band, kl, ku, shift) for shift in np.diag(S)]
-    S = np.asfortranarray(S)
-    S_adj = np.asfortranarray(S.conj().T)  # lower triangular
+    n = T.shape[0]
+    factors = [(lo, hi) + _block_lu(band, T[lo:hi, lo:hi])
+               for lo, hi in blocks]
+    T = np.asfortranarray(T)
+    T_adj = np.asfortranarray(T.T)  # lower quasi-triangular
 
     def solve(F, adjoint):
         if adjoint:
-            order, S_cols, trans = range(n - 1, -1, -1), S_adj, 2
+            order, T_cols, trans = reversed(factors), T_adj, 1
         else:
-            order, S_cols, trans = range(n), S, 0
-        for j in order:
-            done = slice(j + 1, n) if adjoint else slice(0, j)
+            order, T_cols, trans = factors, T, 0
+        for lo, hi, lu, piv in order:
+            done = slice(hi, n) if adjoint else slice(0, lo)
+            b = hi - lo
+            kl, ku = grid_mod.TIME_KL * b, grid_mod.TIME_KU * b
             if done.start != done.stop:
-                zgemv(-1.0, F[:, done], S_cols[done, j], beta=1.0,
-                      y=F[:, j], overwrite_y=1)
-            lu, piv = factors[j]
-            zgbtrs(lu, kl, ku, F[:, j:j + 1], piv, trans=trans,
-                   overwrite_b=1)
+                dgemm(-1.0, F[:, done], T_cols[done, lo:hi], beta=1.0,
+                      c=F[:, lo:hi], overwrite_c=1)
+            # the block in time-major order is its row-major (N_tau1, b)
+            z = np.ascontiguousarray(F[:, lo:hi]).reshape(-1, 1)
+            dgbtrs(lu, kl, ku, z, piv, trans=trans, overwrite_b=1)
+            F[:, lo:hi] = z.reshape(-1, b)
         return F
-    return solve
-
-
-def _whole_solver(band, S):
-    """(F, adjoint) -> Z with Ct Z + Z S = F, or Ct^H Z + Z S^H = F.
-
-    Row-major vec(Z) solves Ct (x) I + I (x) S^T, one banded matrix with
-    lower bandwidth 2 N_eta and upper bandwidth N_eta: Ct's diagonal s
-    lands on diagonal s*N_eta, and S^T fills diagonals 0..N_eta-1.
-    """
-    n_eta = S.shape[0]
-    kl, ku = grid_mod.TIME_KL * n_eta, grid_mod.TIME_KU * n_eta
-    whole = np.zeros((kl + ku + 1, band.shape[1] * n_eta), dtype=complex)
-    whole[::n_eta] = np.repeat(band, n_eta, axis=1)
-    for d in range(n_eta):
-        # S^T[k' + d, k'] = S[k', k' + d] on diagonal d
-        whole[ku + d] += np.tile(np.pad(np.diagonal(S, d), (0, d)),
-                                 band.shape[1])
-    lu, piv = _band_lu(whole, kl, ku, 0.0)
-
-    def solve(F, adjoint):
-        z, _ = zgbtrs(lu, kl, ku, np.ascontiguousarray(F).reshape(-1, 1),
-                      piv, trans=2 if adjoint else 0, overwrite_b=1)
-        return z.reshape(F.shape)
     return solve
 
 

@@ -113,16 +113,25 @@ def monte_carlo_price(params, S0, n_paths, n_steps, seed=0):
     dt = params.T / n_steps
     drift = (params.r - params.q - 0.5 * params.sigma ** 2) * dt
     vol = params.sigma * np.sqrt(dt)
+    half_dt = 0.5 * dt
     log_s = np.full(n_paths, np.log(S0))
-    # trapezoid accumulation of the time integral of S
+    cur = np.exp(log_s)
+    # trapezoid accumulation of the time integral of S; each step reuses
+    # the previous step's exp and works in place, in the evaluation order
+    # (log_s + drift) + vol*z and (0.5*dt)*(prev + cur)
     integral = np.zeros(n_paths)
     for _ in range(n_steps):
-        prev = np.exp(log_s)
-        log_s = log_s + drift + vol * rng.standard_normal(n_paths)
+        prev = cur
+        z = rng.standard_normal(n_paths)
+        z *= vol
+        log_s += drift
+        log_s += z
         cur = np.exp(log_s)
-        integral += 0.5 * dt * (prev + cur)
+        prev += cur
+        prev *= half_dt
+        integral += prev
     avg = integral / params.T
-    payoff = _payoff(params, avg, np.exp(log_s))
+    payoff = _payoff(params, avg, cur)
     disc = np.exp(-params.r * params.T)
     value = disc * float(np.mean(payoff))
     stderr = disc * float(np.std(payoff, ddof=1) / np.sqrt(n_paths))

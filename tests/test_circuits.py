@@ -200,6 +200,23 @@ def _dilate(A):
     return q * np.sign(np.diag(r))[None, :]
 
 
+class TestStateVector:
+    @pytest.mark.parametrize("amps,dtype", [
+        (np.array([0.6, 0.8]), np.float64),
+        (np.array([1, 0, 0, 0]), np.float64),
+        (np.array([0.6, 0.8j]), np.complex128),
+        (np.array([0.6, 0.8], dtype=np.complex64), np.complex128),
+    ])
+    def test_real_stays_real(self, amps, dtype):
+        assert qa.StateVector(amps).amplitudes.dtype == dtype
+
+    def test_rejects(self):
+        with pytest.raises(ValidationError):
+            qa.StateVector(np.ones(3))
+        with pytest.raises(ValueError):
+            qa.StateVector(np.array(["a", "b"]))
+
+
 class TestBeApply:
     def test_identity(self):
         st = qa.StateVector(np.array([1, 0, 0, 0], dtype=complex))

@@ -179,6 +179,11 @@ class TestPsiSqLattice:
             got = it.psi_sq(s_t, s_x)
             assert np.array_equal(got, self._pointwise(it, s_t, s_x)), name
 
+    def test_bit_identical_in_uneven_blocks(self, monkeypatch):
+        # 128-row lattices in blocks of 1 (x 128) or 3 (x 32) rows
+        monkeypatch.setattr(ex, "LATTICE_BLOCK", 100)
+        self.test_bit_identical_to_pointwise()
+
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
     def test_zero_size_lattice(self, shape):
         out = self._interp().psi_sq(np.zeros(shape), np.zeros(shape))
@@ -268,18 +273,27 @@ class TestDifferentiate:
 
 
 class TestPositiveShiftSqrt:
+    """The square root after a set of values' own positive_shift."""
+
+    @staticmethod
+    def _sqrt(values, eps_shift=0.0):
+        v = np.asarray(values, dtype=float)
+        return ex._shifted_sqrt(v, qa.positive_shift(v, eps_shift))
+
     def test_plain(self):
-        assert qa.positive_shift_sqrt([0.04])[0] == pytest.approx(0.2)
+        assert qa.positive_shift([0.04]) == 0.0
+        assert self._sqrt([0.04])[0] == pytest.approx(0.2)
 
     def test_shifted(self):
-        assert qa.positive_shift_sqrt([-0.01], 0.02)[0] == pytest.approx(0.1)
+        assert qa.positive_shift([-0.01], 0.02) == 0.02
+        assert self._sqrt([-0.01], 0.02)[0] == pytest.approx(0.1)
 
     def test_noise_propagation(self):
         rng = np.random.default_rng(0)
         s = np.linspace(-1, 1, 101)
         f = s ** 2 + 1.0
         noisy = f + rng.uniform(-1e-4, 1e-4, f.size)
-        out = qa.positive_shift_sqrt(noisy)
+        out = self._sqrt(noisy)
         assert np.max(np.abs(out - np.sqrt(f))) <= 1e-4 / np.min(np.sqrt(f))
 
 
@@ -306,6 +320,47 @@ class TestExtract2D:
         ix, _ = res.interpolant.nodes_x
         truth = np.abs(surf[np.ix_(it, ix)])
         assert np.max(np.abs(res.psi_nodes - truth)) < 1e-4
+
+    @pytest.mark.parametrize("mode", ["exact", "stochastic"])
+    def test_real_and_complex_states_read_alike(self, mode):
+        # a real state stays float64 and reads bit-identically to the
+        # same amplitudes held as complex128
+        P = lambda s: 1.0 + 0.3 * s - 0.2 * s ** 2
+        spec, _, norm2, real = self._plant(6, P, P)
+        cplx = qa.StateVector(real.amplitudes.astype(complex))
+        assert real.amplitudes.dtype == np.float64
+        assert cplx.amplitudes.dtype == np.complex128
+        out = [qa.extract_psi_2d(st, spec, {"M_eta": 5, "M_tau1": 5},
+                                 qa.AmplitudeEstimator(mode=mode, seed=3),
+                                 scale=norm2) for st in (real, cplx)]
+        for field in ("psi_nodes", "raw_integrals", "err_bound"):
+            assert np.array_equal(getattr(out[0], field),
+                                  getattr(out[1], field)), field
+        assert np.array_equal(out[0].interpolant.density_coeffs,
+                              out[1].interpolant.density_coeffs)
+
+    def test_psi_at_a_point_is_batch_independent(self):
+        # the fit of a surface that vanishes on s_x < 0 dips below zero;
+        # the lift before the square root is fixed at fit time, so a
+        # negative psi^2 elsewhere in the call does not move psi at a
+        P = lambda s: 1.0 + 0.5 * s
+        spec, surf, norm2, state = self._plant(
+            6, P, lambda s: np.maximum(s, 0.0))
+        res = qa.extract_psi_2d(state, spec, {"M_eta": 6, "M_tau1": 4},
+                                qa.AmplitudeEstimator(mode="exact"),
+                                scale=norm2)
+        interp = res.interpolant
+        tau1 = spec.delta_tau1 * 30
+        eta = qa.eta_nodes(spec, qa.MarketParams(
+            sigma=1.0, r=0.0, q=0.0, T=1.0, K=1.0, eta_max=1.0))
+        sq = interp.psi_sq(interp.s_of_tau1(tau1), interp.s_of_eta(eta))
+        a, b = eta[np.argmax(sq)], eta[np.argmin(sq)]
+        assert interp.psi_sq(interp.s_of_tau1(tau1), interp.s_of_eta(b)) < 0
+        assert interp.psi(tau1, [a]) == interp.psi(tau1, [a, b])[0]
+        # a lattice call agrees with row-by-row calls
+        taus = spec.delta_tau1 * np.arange(1, spec.N_tau1 + 1)
+        lattice = interp.psi(taus[:, None], eta[None, :])
+        assert np.array_equal(lattice, [interp.psi(t, eta) for t in taus])
 
     def test_m1_recovers_mean_scale(self):
         P = lambda s: np.full(np.shape(s), 1.0)
@@ -359,6 +414,19 @@ class TestExtract2D:
         assert d_eta == pytest.approx(0.5 * P(s_t), rel=0.05)
         ds_dtau1 = 2.0 / (interp.Nt_win * interp.delta_tau1)
         assert d_tau1 == pytest.approx(0.5 * P(s_x) * ds_dtau1, rel=0.05)
+
+    def test_greeks_raise_where_psi_vanishes(self):
+        # density s_x with no lift: psi^2 < 0 on s_x < 0, where psi is 0
+        interp = ex.Interpolant2D(
+            density_coeffs=np.array([[0.0, 1.0]]), nodes_t=None,
+            nodes_x=None, Nt_win=8, N_x=8, t_lo=0, delta_tau1=1 / 8,
+            eta_max=1.0, scale=1.0)
+        assert interp.shift_used == 0.0
+        assert interp.psi_sq(0.0, -0.5) < 0
+        assert interp.psi(0.5, -0.5) == 0.0
+        with pytest.raises(qa.QasianError, match="vanishes"):
+            interp.dpsi(0.5, -0.5)
+        assert all(np.isfinite(interp.dpsi(0.5, 0.5)))
 
     def test_greeks_constant_surface(self):
         P = lambda s: np.full(np.shape(s), 1.0)

@@ -149,6 +149,30 @@ class TestSpatialOperators:
         A2 = qa.build_A2(spec)
         assert np.max(np.abs(A1 @ A2 - C1)) < 1e-12
 
+    def test_operators_are_real(self):
+        p = params(sigma=0.7, r=0.04, q=0.01, eta_max=4.0)
+        spec = qa.grid_spec_direct(p, 5, 2)
+        ops = qa.build_operators(spec, p)
+        for name in ("C_eta1", "C_eta2", "A1", "A2"):
+            assert getattr(ops, name).dtype == np.float64, name
+        assert qa.fast_invert_exact("A2", spec, p).dtype == np.float64
+        # the dropped imaginary parts were rounding: the real operators
+        # match the complex Fourier products
+        F = qa.build_centered_dft(spec.n_eta)
+        eig = qa.grid.a2_eigenvalues(spec)
+        assert np.max(np.abs(ops.A2 - F.conj().T @ (eig[:, None] * F))) \
+            < 1e-12 * np.max(np.abs(ops.A2))
+
+    @pytest.mark.parametrize("multiplier", [
+        lambda s: s,                  # real and odd: an imaginary product
+        lambda s: 1j * s ** 2,        # imaginary and even
+        lambda s: s ** 2 + 1e-9 * s,  # even up to a planted odd part
+    ], ids=["odd", "imaginary-even", "nearly-even"])
+    def test_fourier_multiplier_rejects_complex_products(self, multiplier):
+        s = eta_hat_diagonal(4)
+        with pytest.raises(ValidationError):
+            qa.grid.fourier_multiplier(4, multiplier(s))
+
     def test_r_equals_q_finite(self):
         p = params(r=0.05, q=0.05)
         spec = qa.grid_spec_direct(p, 3, 1)

@@ -211,6 +211,45 @@ class TestSpaceTimeSystem:
                 (W.AB_inv.rmatvec(x), a1 * np.linalg.solve(M.conj().T, x))):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("n_tau1", [1, 2, 3])
+    @pytest.mark.parametrize("by_blocks", [False, True],
+                             ids=["whole", "blocks"])
+    def test_real_operators_match_dense(self, n_tau1, by_blocks,
+                                        monkeypatch):
+        # every report operator, forward and adjoint, on real vectors
+        # against the dense split; this market's L has complex eigenvalues,
+        # so the per-block path solves both 1 x 1 and 2 x 2 blocks
+        p = params(sigma=0.7, r=0.03)
+        spec = qa.grid_spec_direct(p, 4, n_tau1)
+        if by_blocks:
+            monkeypatch.setattr(qa.inversion, "BANDED_SYSTEM_DIM", 0)
+        sizes = []
+        block_lu = qa.inversion._block_lu
+
+        def recording_block_lu(band, Tb):
+            sizes.append(Tb.shape[0])
+            return block_lu(band, Tb)
+        monkeypatch.setattr(qa.inversion, "_block_lu", recording_block_lu)
+        W = qa.inversion.SpaceTimeSystem(spec, p)
+        if by_blocks:
+            assert set(sizes) == {1, 2} and sum(sizes) == spec.N_eta
+        else:
+            assert sizes == [spec.N_eta]
+        M, _, A, B = assemble_system(spec, p)
+        AB = A + B
+        W_dense = np.eye(spec.dim) + np.linalg.solve(A, B)
+        dense = {"AB": AB, "AB_inv": np.linalg.inv(AB), "B": B,
+                 "W": W_dense, "W_inv": np.linalg.inv(W_dense)}
+        x = np.random.default_rng(n_tau1).normal(size=spec.dim)
+        for name, ref in dense.items():
+            op = getattr(W, name)
+            assert op.dtype == np.float64, name
+            for got, want in ((op.matvec(x), ref @ x),
+                              (op.rmatvec(x), ref.T @ x)):
+                assert got.dtype == np.float64, name
+                assert np.linalg.norm(got - want) <= \
+                    1e-12 * np.linalg.norm(want), name
+
     def test_freed_without_cyclic_gc(self):
         # a solved system holds no reference to itself: reference counting
         # alone frees it, and a whole pricing solve leaves no cycle behind

@@ -91,6 +91,38 @@ class TestMonteCarlo:
         # deep in the money call dominates the matching put
         assert call.value > put.value
 
+    @staticmethod
+    def _reference_price(params, S0, n_paths, n_steps, seed):
+        """The stepping loop as first written: exp of both path ends in
+        every step, out of place."""
+        rng = np.random.default_rng(seed)
+        dt = params.T / n_steps
+        drift = (params.r - params.q - 0.5 * params.sigma ** 2) * dt
+        vol = params.sigma * np.sqrt(dt)
+        log_s = np.full(n_paths, np.log(S0))
+        integral = np.zeros(n_paths)
+        for _ in range(n_steps):
+            prev = np.exp(log_s)
+            log_s = log_s + drift + vol * rng.standard_normal(n_paths)
+            cur = np.exp(log_s)
+            integral += 0.5 * dt * (prev + cur)
+        payoff = oracle._payoff(params, integral / params.T, np.exp(log_s))
+        disc = np.exp(-params.r * params.T)
+        return oracle.PriceQuote(
+            disc * float(np.mean(payoff)),
+            disc * float(np.std(payoff, ddof=1) / np.sqrt(n_paths)), "mc")
+
+    @pytest.mark.parametrize("seed", [4, 11])
+    @pytest.mark.parametrize("market,S0", [
+        ({}, 1.0),
+        ({"sigma": 0.7, "r": 0.03, "q": 0.01, "T": 2.0, "K": 1.3,
+          "kind": "avg_strike_put"}, 1.7),
+    ], ids=["default", "strike-put"])
+    def test_bit_identical_to_reference_loop(self, market, S0, seed):
+        p = params(**market)
+        assert oracle.monte_carlo_price(p, S0, 3_000, 17, seed=seed) == \
+            self._reference_price(p, S0, 3_000, 17, seed)
+
 
 class TestPriceMaps:
     def test_eta_of_avg_rate(self):
