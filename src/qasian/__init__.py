@@ -6,7 +6,8 @@ finite-difference and Monte-Carlo oracles."""
 
 from .errors import (QasianError, ValidationError, InfeasibleScaleError,
                      DimensionCapError, SingularFactorError, AliasingError,
-                     NodeCollisionError, IllConditionedError)
+                     NodeCollisionError, IllConditionedError,
+                     NormConvergenceError)
 from .grid import (MarketParams, GridSpec, OperatorSet, make_grid,
                    grid_spec_direct, build_time_derivative,
                    build_eta_operator, build_centered_dft,

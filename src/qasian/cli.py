@@ -63,34 +63,75 @@ PRESETS = {
 
 
 def _deep_update(base, overrides):
+    if not isinstance(overrides, dict):
+        return overrides
     out = dict(base)
-    for k, v in (overrides or {}).items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _deep_update(out[k], v)
-        else:
-            out[k] = v
+    for k, v in overrides.items():
+        out[k] = _deep_update(out[k], v) if isinstance(out.get(k), dict) else v
     return out
 
 
 def load_config(path=None, preset=None, overrides=None):
+    """DEFAULT_CONFIG updated by the preset, the file and the overrides,
+    in that order, and checked by _check_config before it is returned."""
     cfg = dict(DEFAULT_CONFIG)
     if preset:
         if preset not in PRESETS:
             raise ValidationError(f"unknown preset {preset!r}")
         cfg = _deep_update(cfg, PRESETS[preset])
     if path:
-        with open(path) as fh:
-            cfg = _deep_update(cfg, json.load(fh))
+        try:
+            with open(path) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable or not JSON
+            raise ValidationError(f"config file {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ValidationError(f"config file {path} must hold an object")
+        cfg = _deep_update(cfg, loaded)
     if overrides:
         cfg = _deep_update(cfg, overrides)
+    _check_config(cfg, DEFAULT_CONFIG)
     return cfg
 
 
+#: Type of each config leaf whose default is None; every other leaf
+#: takes its default's type.
+NULLABLE = {"n_tau1": int, "extraction.Delta": float}
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _check_config(cfg, default, prefix=""):
+    """Reject unknown keys at every level of cfg, and values of the wrong
+    type: an int leaf takes integers, a float leaf finite reals (integers
+    included), a str leaf strings, and a NULLABLE leaf None as well."""
+    for key, value in cfg.items():
+        name = prefix + key
+        if key not in default:
+            raise ValidationError(f"unknown config key {name!r}")
+        ref = default[key]
+        if isinstance(ref, dict):
+            if not isinstance(value, dict):
+                raise ValidationError(f"config {name} must be an object, "
+                                      f"got {value!r}")
+            _check_config(value, ref, name + ".")
+            continue
+        kind = NULLABLE.get(name, type(ref))
+        if not (value is None and name in NULLABLE or _is_kind(value, kind)):
+            raise ValidationError(f"config {name} must be "
+                                  f"{_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _is_kind(value, kind):
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, numbers.Integral if kind is int else kind)
+
+
 def _market(cfg):
-    try:
-        return grid.MarketParams(**cfg["params"])
-    except TypeError as exc:  # unknown or missing key, or a non-number
-        raise ValidationError(f"params: {exc}") from exc
+    return grid.MarketParams(**cfg["params"])
 
 
 def _spec(cfg, params):
@@ -159,10 +200,8 @@ def run_pipeline(cfg):
     try:
         params = _market(cfg)
         S0 = cfg["oracle"]["S0"]
-        if not (isinstance(S0, numbers.Real) and math.isfinite(S0)
-                and S0 > 0):
-            raise ValidationError(f"oracle.S0 must be finite and > 0, "
-                                  f"got {S0!r}")
+        if not S0 > 0:
+            raise ValidationError(f"oracle.S0 must be > 0, got {S0!r}")
         spec = _spec(cfg, params)
         summary["grid"] = {"n_eta": spec.n_eta, "n_tau1": spec.n_tau1,
                            "delta_tau1": spec.delta_tau1,
@@ -430,7 +469,8 @@ def main(argv=None):
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except QasianError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
     except Exception as exc:  # exit codes stay 0/2/3, never a traceback
         # repr keeps a multi-line message on one line

@@ -21,6 +21,10 @@ class SingularFactorError(QasianError):
     """A fast-invertible factor has an eigenvalue below the safe floor."""
 
 
+class NormConvergenceError(QasianError):
+    """A largest-singular-value run did not converge within its step bound."""
+
+
 class AliasingError(QasianError):
     """Phase-estimation window too short for the spectrum's largest phase."""
 

@@ -21,19 +21,19 @@ import math
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse.linalg import LinearOperator, svds
+from scipy.linalg.blas import dgemm, dgemv, dnrm2
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dstebz, dstein
+from scipy.sparse.linalg import LinearOperator
 
-from .errors import (AliasingError, DimensionCapError, SingularFactorError,
-                     ValidationError)
+from .errors import (AliasingError, DimensionCapError, NormConvergenceError,
+                     SingularFactorError, ValidationError)
 from . import grid as grid_mod
 
 #: Largest space-time dimension N_tau1 * N_eta the solver accepts.  On a
-#: shared 2-core x86 VM with 2 BLAS threads, sigma=1, n_eta=7 (512 x 128,
-#: dim 2^16) solved with its condition report in 1.6-2.9 s at a peak RSS
-#: of 88 MB, and sigma=0.5, n_eta=8 (512 x 256, dim 2^17) in 4.0-4.8 s
-#: at 114 MB.
+#: shared 2-core x86 VM with 2 BLAS threads, `qasian price` at sigma=1,
+#: n_eta=7 (512 x 128, dim 2^16) took 2.0-2.6 s at a peak RSS of 96 MB,
+#: and at sigma=0.5, n_eta=8 (512 x 256, dim 2^17) 4.0-4.1 s at 133 MB
+#: (three runs each).
 DIM_CAP = 2 ** 17
 
 #: Smallest eigenvalue magnitude fast_invert_exact reciprocates.
@@ -51,6 +51,20 @@ EIGEN_FLOOR = 1e-30
 #: 16 x 128) and at dim 4096 in 5 of 5 (128 x 32: 79-109 against
 #: 52-82 ms).
 BANDED_SYSTEM_DIM = 2 ** 10
+
+#: Most Golub-Kahan-Lanczos steps _norm2 takes before it raises
+#: NormConvergenceError.  Measured need up to DIM_CAP: at most 43 steps
+#: for sigma from 0.3 to 2 (||W^-1|| at sigma = 0.5, n_eta = 8), a 7x
+#: margin; 56 at sigma = 1, n_eta = 8, past the cap.  Tall grids need
+#: more: 175 at sigma = 10, n_eta = 3 (256 x 8) and 229 at sigma = 30,
+#: n_eta = 2 (512 x 4).  Where their top singular values cluster
+#: (sigma = 100, n_eta = 2, 4096 x 4) the bound ends the report in
+#: seconds.  At the bound the basis of a DIM_CAP system holds
+#: 300 * 2^17 doubles, 315 MB.
+NORM_STEPS = 300
+
+#: Relative residual of the top Ritz triple at which _norm2 stops.
+NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -202,10 +216,11 @@ class SpaceTimeSystem:
     The split of the dense reference assembly follows from M without
     forming it: A + B = (I (x) A1^-1) M, A = I (x) A2, B = (A + B) - A and
     W = I + A^-1 B = (I (x) A2^-1) (A + B).  They are kept as real
-    LinearOperators (`AB`, `AB_inv`, `B`, `W`, `W_inv`), so that the
-    report's ARPACK runs are real symmetric Lanczos on X^T X; a complex
-    vector is applied as its real and imaginary parts.  The operators
-    close over the factors, never over the system, so that a system
+    LinearOperators (`AB`, `AB_inv`, `B`, `W`, `W_inv`); a complex vector
+    is applied as its real and imaginary parts.  `report` takes their
+    largest singular values by Golub-Kahan-Lanczos bidiagonalisation
+    (_norm2), in at most NORM_STEPS steps each.  The operators close
+    over the factors, never over the system, so that a system
     holds no reference to itself and is freed as soon as its caller drops
     it.  The object stands for W x = rhs_pre: `system @ x` is W x and
     `system.solve(r)` is W^-1 r.
@@ -234,7 +249,7 @@ class SpaceTimeSystem:
         apply_A2_inv = _blocks(fast_invert_exact("A2", spec, params))
 
         # Products go through scipy's BLAS (dgemm; trans_b=1 is the
-        # transpose), the library dgbtrs and ARPACK use: numpy ships its
+        # transpose), the library dgbtrs and _norm2 use: numpy ships its
         # own OpenBLAS, and interleaving the two libraries' thread pools
         # slowed the report five-fold on two cores.
 
@@ -386,10 +401,78 @@ def _block_solver(band, T, blocks):
     return solve
 
 
-def _norm2(op):
-    """Largest singular value of a LinearOperator (ARPACK, full precision)."""
-    return float(svds(op, k=1, tol=0, return_singular_vectors=False,
-                      rng=np.random.default_rng(0))[0])
+def _norm2(op, v=None):
+    """Largest singular value of a real LinearOperator.
+
+    Golub-Kahan-Lanczos bidiagonalisation (Golub and Kahan, SIAM J.
+    Numer. Anal. B 2(2), 1965) from v, by default a fixed-seed normal
+    draw: op V_k = U_k B_k with B_k upper bidiagonal (alpha on the
+    diagonal, beta above it), one forward and one adjoint product per
+    step.  Only the right basis V is kept, and each new v is
+    orthogonalised against it twice by classical Gram-Schmidt, which is
+    enough for singular values (Simon and Zha, SIAM J. Sci. Comput.
+    21(6), 2000).  The run stops when the top Ritz triple's residual
+    beta_k |e_k^T y| is at most NORM_TOL * theta, with theta the largest
+    singular value of B_k and y its left singular vector: theta's error
+    is at most the residual squared over the gap to the next singular
+    value, so theta is then exact to rounding.  A zero alpha or beta
+    means the Krylov space is invariant and theta exact; a run that has
+    not stopped after NORM_STEPS steps raises NormConvergenceError.
+    """
+    n = op.shape[1]
+    if v is None:
+        v = np.random.default_rng(0).standard_normal(n)
+    # Fortran order keeps V[:, :k] contiguous, so dgemv reads it in place;
+    # columns are written (and their pages touched) only as steps are taken
+    V = np.empty((n, NORM_STEPS), order="F")
+    V[:, 0] = v / dnrm2(v)
+    u = op.matvec(V[:, 0])
+    alpha, beta = [dnrm2(u)], []
+    if alpha[0] == 0.0:
+        return 0.0
+    for k in range(1, NORM_STEPS + 1):
+        u = u / alpha[-1]
+        r = op.rmatvec(u) - alpha[-1] * V[:, k - 1]
+        for _ in range(2):
+            h = dgemv(1.0, V[:, :k], r, trans=1)
+            r = dgemv(-1.0, V[:, :k], h, beta=1.0, y=r, overwrite_y=1)
+        beta.append(dnrm2(r))
+        theta, y_k = _top_left(alpha, beta)
+        if beta[-1] * abs(y_k) <= NORM_TOL * theta:
+            return theta
+        if k == NORM_STEPS:
+            break
+        V[:, k] = r / beta[-1]
+        u = op.matvec(V[:, k]) - beta[-1] * u
+        alpha.append(dnrm2(u))
+        if alpha[-1] == 0.0:
+            return _top_left(alpha, beta)[0]
+    raise NormConvergenceError(
+        f"largest singular value not converged in {NORM_STEPS} "
+        f"Golub-Kahan-Lanczos steps (residual {beta[-1] * abs(y_k):.3e}, "
+        f"value {theta:.6e})")
+
+
+def _top_left(alpha, beta):
+    """(theta, y_k): the largest singular value of the upper bidiagonal
+    B_k with diagonal alpha[:k] and superdiagonal beta[:k-1], and the
+    last entry of its left singular vector y, from the top eigenpair of
+    the tridiagonal B_k B_k^T (LAPACK bisection and inverse iteration)."""
+    k = len(alpha)
+    if k == 1:  # B_1 is alpha_1; dstebz's wrapper needs k >= 2
+        return alpha[0], 1.0
+    a = np.asarray(alpha)
+    b = np.asarray(beta[:k - 1])
+    d = a * a
+    d[:-1] += b * b
+    e = b * a[1:]
+    _, w, block, split, info = dstebz(d, e, 3, 0.0, 0.0, k, k, 0.0, "E")
+    if info == 0:
+        y, info = dstein(d, e, w[:1], block, split)
+    if info != 0:
+        raise NormConvergenceError(
+            f"tridiagonal eigensolver failed (info {info})")
+    return math.sqrt(max(w[0], 0.0)), y[-1, 0]
 
 
 def precondition(spec, params, kink_shift=0.0):

@@ -153,8 +153,16 @@ class TestExitCodes:
         {"params": {"K": -1.0}, "extraction": {"M_tau1": 2}},
         {"params": {"vol": 0.5}},
         {"n_eta": "4"},
+        {"foo": 1},
+        {"oracle": {"paths": 10}},
+        {"extraction": {"M_eta": "x"}},
+        {"extraction": {"M_eta": 6.0}},
+        {"params": {"kind": 1}},
+        {"extraction": 4},
     ], ids=["zero-sigma", "zero-sigma-pinned-n-tau1", "negative-strike",
-            "unknown-param", "string-n-eta"])
+            "unknown-param", "string-n-eta", "unknown-key",
+            "unknown-nested-key", "string-m-eta", "float-m-eta",
+            "numeric-kind", "scalar-section"])
     def test_malformed_config(self, tmp_path, capsys, config):
         assert run_config(tmp_path, config, "price") == 2
         assert "validation error" in capsys.readouterr().err
@@ -186,6 +194,15 @@ class TestExitCodes:
                           "price")
         assert code == 3
         assert "exceeds cap" in capsys.readouterr().err
+
+    def test_norm_step_bound(self, tmp_path, capsys, monkeypatch):
+        # a condition report that does not converge within its step bound
+        # ends on exit 3 with one line naming the error
+        monkeypatch.setattr(inversion, "NORM_STEPS", 2)
+        assert run(tmp_path, "--preset", "smoke", "price") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: NormConvergenceError: ")
+        assert len(err.splitlines()) == 1
 
     def test_unexpected_exception_exits_3(self, tmp_path, capsys,
                                           monkeypatch):

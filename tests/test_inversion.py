@@ -4,9 +4,11 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator
 
 import qasian as qa
-from qasian.errors import AliasingError, SingularFactorError, ValidationError
+from qasian.errors import (AliasingError, NormConvergenceError,
+                           SingularFactorError, ValidationError)
 
 from conftest import assemble_system
 
@@ -281,6 +283,78 @@ class TestSpaceTimeSystem:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20, f"tracemalloc peak {peak / 2 ** 20:.1f} MB"
+
+
+class TestNorm2:
+    @pytest.mark.parametrize("market,grid_args", [
+        ({"sigma": 0.7, "r": 0.03}, (5,)),    # dim 512, 2 x 2 Schur blocks
+        ({"sigma": 1.0}, (5,)),               # dim 1024, 32 x 32
+        ({"sigma": 1.0}, (2, 1)),             # dim 8: fewer than NORM_STEPS
+    ], ids=["s0.7-512", "s1.0-1024", "ntau1-2-dim8"])
+    def test_report_norms_match_dense(self, market, grid_args):
+        p = params(**market)
+        if len(grid_args) == 1:
+            spec = qa.make_grid(p, grid_args[0], 1e-3)
+        else:
+            spec = qa.grid_spec_direct(p, *grid_args)
+        assert spec.dim <= 1024
+        W = qa.inversion.SpaceTimeSystem(spec, p)
+        _, _, A, B = assemble_system(spec, p)
+        AB = A + B
+        W_dense = np.eye(spec.dim) + np.linalg.solve(A, B)
+        dense = {"AB": AB, "AB_inv": np.linalg.inv(AB), "B": B,
+                 "W": W_dense, "W_inv": np.linalg.inv(W_dense)}
+        for name, ref in dense.items():
+            want = np.linalg.norm(ref, 2)
+            got = qa.inversion._norm2(getattr(W, name))
+            assert abs(got - want) <= 1e-12 * want, name
+
+    def test_report_matches_arpack_record(self):
+        # sigma = 1, n_eta = 6 (128 x 64), as reported by the ARPACK
+        # (svds, tol=0) runs that the Golub-Kahan-Lanczos routine replaced
+        recorded = {"kappa_raw": 464611.76937078993,
+                    "kappa_W": 644350.3237769204,
+                    "C_AB": 464166.9049097908,
+                    "C_AB_prime": 1111534.9846957438}
+        p = params()
+        rep = qa.inversion.SpaceTimeSystem(qa.make_grid(p, 6, 1e-3),
+                                           p).report()
+        for field, want in recorded.items():
+            got = getattr(rep, field)
+            assert abs(got - want) <= 1e-12 * want, field
+
+    def test_clustered_non_normal(self):
+        # top two singular values 1 and 1 - 5e-4, singular vectors drawn
+        # independently on each side, so the operator is not normal
+        rng = np.random.default_rng(5)
+        n = 300
+        s = np.r_[1.0, 1.0 - 5e-4, np.geomspace(0.9, 1e-3, n - 2)]
+        U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        A = (U * s) @ V.T
+        assert np.linalg.norm(A @ A.T - A.T @ A) > 0.1
+        assert abs(qa.inversion._norm2(aslinearoperator(A)) - 1.0) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A,v,want", [
+        (np.zeros((6, 6)), None, 0.0),                    # alpha_1 = 0
+        (np.array([[-3.0]]), None, 3.0),                  # beta_1 = 0
+        # v = e_0: A e_0 = e_0, then v_2 = e_1 and A e_1 = e_0 = beta_1 u_1
+        (np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+         np.array([1.0, 0.0, 0.0]), np.sqrt(2.0)),       # alpha_2 = 0
+        (np.random.default_rng(3).normal(size=(5, 5)), None, None),
+    ], ids=["alpha1-zero", "beta1-zero", "alpha2-zero", "dim5"])
+    def test_breakdown(self, A, v, want):
+        want = np.linalg.norm(A, 2) if want is None else want
+        with np.errstate(all="raise"):
+            got = qa.inversion._norm2(aslinearoperator(A), v)
+        assert abs(got - want) <= 1e-12 * max(want, 1.0)
+
+    def test_step_bound(self, monkeypatch):
+        A = np.diag(np.linspace(1.0, 2.0, 50))
+        monkeypatch.setattr(qa.inversion, "NORM_STEPS", 2)
+        with pytest.raises(NormConvergenceError, match="2 Golub-Kahan"):
+            qa.inversion._norm2(aslinearoperator(A))
 
 
 class TestSolveSystem:
