@@ -150,15 +150,22 @@ def _spec(cfg, params):
 
 
 def _extraction_cfg(cfg, spec, params):
-    """extract_psi_2d's settings for a run on `spec`.
+    """extract_psi_2d's settings for a run on `spec`, checked against its
+    grid so that a request it cannot fit fails before the solve.
 
     When make_grid chose the time register, M_tau1 is clamped to the
     extraction's time window; a pinned register keeps the request as is.
     """
     e = cfg["extraction"]
+    Nt_win = extraction.time_window(spec)[1]
     M_tau1 = e["M_tau1"]
     if not cfg.get("n_tau1"):
-        M_tau1 = min(M_tau1, extraction.time_window(spec)[1])
+        M_tau1 = min(M_tau1, Nt_win)
+    for key, M, N in (("M_eta", e["M_eta"], spec.N_eta),
+                      ("M_tau1", M_tau1, Nt_win)):
+        if not 1 <= M <= N:
+            raise ValidationError(f"extraction.{key} = {M} must lie in "
+                                  f"1..{N} on this grid")
     return {"M_eta": e["M_eta"], "M_tau1": M_tau1, "eta_max": params.eta_max}
 
 
@@ -206,6 +213,7 @@ def run_pipeline(cfg):
         summary["grid"] = {"n_eta": spec.n_eta, "n_tau1": spec.n_tau1,
                            "delta_tau1": spec.delta_tau1,
                            "delta_eta_hat": spec.delta_eta_hat}
+        ext_cfg = _extraction_cfg(cfg, spec, params)
 
         summary["stage"] = "solve"
         _, norm_b, report, state, est, scale = _solve_and_read(
@@ -216,8 +224,8 @@ def run_pipeline(cfg):
         summary["errors"]["norm_b"] = norm_b
 
         summary["stage"] = "extract"
-        result = extraction.extract_psi_2d(
-            state, spec, _extraction_cfg(cfg, spec, params), est, scale=scale)
+        result = extraction.extract_psi_2d(state, spec, ext_cfg, est,
+                                           scale=scale)
         summary["errors"]["extraction_bound"] = result.err_bound
         summary["extraction"] = {"ae_calls": result.ae_calls,
                                  "ae_cost": result.ae_cost}
@@ -334,11 +342,11 @@ def run_convergence(cfg, levels):
     for lvl in range(levels):
         level_cfg = {**cfg, "n_eta": cfg["n_eta"] + lvl, "n_tau1": None}
         spec = _spec(level_cfg, params)
+        ext_cfg = _extraction_cfg(level_cfg, spec, params)
         psi_tilde, norm_b, _, state, est, scale = _solve_and_read(
             level_cfg, spec, params)
-        result = extraction.extract_psi_2d(
-            state, spec, _extraction_cfg(level_cfg, spec, params), est,
-            scale=scale)
+        result = extraction.extract_psi_2d(state, spec, ext_cfg, est,
+                                           scale=scale)
         truth = _direct_readout(psi_tilde, norm_b, spec, result)
         err = float(np.max(np.abs(result.psi_nodes - truth)))
         rows.append({"n_eta": spec.n_eta, "n_tau1": spec.n_tau1, "error": err,

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.linalg.blas import dgemm, dgemv, dnrm2
+from scipy.linalg.blas import dgemm, dnrm2
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dstebz, dstein
 from scipy.sparse.linalg import LinearOperator
 
@@ -31,8 +31,8 @@ from . import grid as grid_mod
 
 #: Largest space-time dimension N_tau1 * N_eta the solver accepts.  On a
 #: shared 2-core x86 VM with 2 BLAS threads, `qasian price` at sigma=1,
-#: n_eta=7 (512 x 128, dim 2^16) took 2.0-2.6 s at a peak RSS of 96 MB,
-#: and at sigma=0.5, n_eta=8 (512 x 256, dim 2^17) 4.0-4.1 s at 133 MB
+#: n_eta=7 (512 x 128, dim 2^16) took 2.0-2.1 s at a peak RSS of 74 MB,
+#: and at sigma=0.5, n_eta=8 (512 x 256, dim 2^17) 3.6-3.7 s at 89 MB
 #: (three runs each).
 DIM_CAP = 2 ** 17
 
@@ -59,8 +59,7 @@ BANDED_SYSTEM_DIM = 2 ** 10
 #: more: 175 at sigma = 10, n_eta = 3 (256 x 8) and 229 at sigma = 30,
 #: n_eta = 2 (512 x 4).  Where their top singular values cluster
 #: (sigma = 100, n_eta = 2, 4096 x 4) the bound ends the report in
-#: seconds.  At the bound the basis of a DIM_CAP system holds
-#: 300 * 2^17 doubles, 315 MB.
+#: seconds.
 NORM_STEPS = 300
 
 #: Relative residual of the top Ritz triple at which _norm2 stops.
@@ -408,42 +407,38 @@ def _norm2(op, v=None):
     Numer. Anal. B 2(2), 1965) from v, by default a fixed-seed normal
     draw: op V_k = U_k B_k with B_k upper bidiagonal (alpha on the
     diagonal, beta above it), one forward and one adjoint product per
-    step.  Only the right basis V is kept, and each new v is
-    orthogonalised against it twice by classical Gram-Schmidt, which is
-    enough for singular values (Simon and Zha, SIAM J. Sci. Comput.
-    21(6), 2000).  The run stops when the top Ritz triple's residual
-    beta_k |e_k^T y| is at most NORM_TOL * theta, with theta the largest
-    singular value of B_k and y its left singular vector: theta's error
-    is at most the residual squared over the gap to the next singular
-    value, so theta is then exact to rounding.  A zero alpha or beta
-    means the Krylov space is invariant and theta exact; a run that has
-    not stopped after NORM_STEPS steps raises NormConvergenceError.
+    step.  Only the current v, u and residual are kept, with no
+    reorthogonalisation: the plain recurrence loses orthogonality only
+    along Ritz vectors that have converged, which adds spurious copies
+    of converged singular values but leaves the largest one as accurate
+    as with a full basis (Paige, Linear Algebra Appl. 34, 1980).  The run
+    stops when the top Ritz triple's residual beta_k |e_k^T y| is at most
+    NORM_TOL * theta, with theta the largest singular value of B_k and y
+    its left singular vector: theta's error is at most the residual
+    squared over the gap to the next singular value, so theta is then
+    exact to rounding.  A zero alpha or beta means the Krylov space is
+    invariant and theta exact; a run that has not stopped after
+    NORM_STEPS steps raises NormConvergenceError.
     """
     n = op.shape[1]
     if v is None:
         v = np.random.default_rng(0).standard_normal(n)
-    # Fortran order keeps V[:, :k] contiguous, so dgemv reads it in place;
-    # columns are written (and their pages touched) only as steps are taken
-    V = np.empty((n, NORM_STEPS), order="F")
-    V[:, 0] = v / dnrm2(v)
-    u = op.matvec(V[:, 0])
+    v = v / dnrm2(v)
+    u = op.matvec(v)
     alpha, beta = [dnrm2(u)], []
     if alpha[0] == 0.0:
         return 0.0
     for k in range(1, NORM_STEPS + 1):
         u = u / alpha[-1]
-        r = op.rmatvec(u) - alpha[-1] * V[:, k - 1]
-        for _ in range(2):
-            h = dgemv(1.0, V[:, :k], r, trans=1)
-            r = dgemv(-1.0, V[:, :k], h, beta=1.0, y=r, overwrite_y=1)
+        r = op.rmatvec(u) - alpha[-1] * v
         beta.append(dnrm2(r))
         theta, y_k = _top_left(alpha, beta)
         if beta[-1] * abs(y_k) <= NORM_TOL * theta:
             return theta
         if k == NORM_STEPS:
             break
-        V[:, k] = r / beta[-1]
-        u = op.matvec(V[:, k]) - beta[-1] * u
+        v = r / beta[-1]
+        u = op.matvec(v) - beta[-1] * u
         alpha.append(dnrm2(u))
         if alpha[-1] == 0.0:
             return _top_left(alpha, beta)[0]

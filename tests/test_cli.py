@@ -229,6 +229,24 @@ class TestExitCodes:
                          "--config", str(cfg), "extract"])
         assert code == 2
 
+    @pytest.mark.parametrize("config,key", [
+        ({"params": {"sigma": 1.0}, "n_eta": 2}, "extraction.M_eta"),
+        ({"params": {"sigma": 0.5}, "n_eta": 3, "n_tau1": 1,
+          "extraction": {"M_tau1": 8, "M_eta": 4, "Delta": 0.0}},
+         "extraction.M_tau1"),
+    ], ids=["m-eta-past-n-eta", "m-tau1-past-pinned-window"])
+    def test_extraction_checked_before_solve(self, tmp_path, capsys,
+                                             monkeypatch, config, key):
+        # more nodes than the grid has points ends on exit 2 naming the
+        # key, before the system is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("system solved for an unfit extraction")
+        monkeypatch.setattr(inversion, "solve_pricing_system", no_solve)
+        assert run_config(tmp_path, config, "price") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and key in err
+        assert len(err.splitlines()) == 1
+
 
 class TestDeterminism:
     def test_same_seed_same_surface(self, tmp_path, capsys):

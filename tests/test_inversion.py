@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import aslinearoperator
 
 import qasian as qa
@@ -290,7 +291,12 @@ class TestNorm2:
         ({"sigma": 0.7, "r": 0.03}, (5,)),    # dim 512, 2 x 2 Schur blocks
         ({"sigma": 1.0}, (5,)),               # dim 1024, 32 x 32
         ({"sigma": 1.0}, (2, 1)),             # dim 8: fewer than NORM_STEPS
-    ], ids=["s0.7-512", "s1.0-1024", "ntau1-2-dim8"])
+        # tall grids, long runs: 224 steps for ||(A+B)^-1|| at 256 x 4,
+        # 178 for ||W^-1|| at 128 x 8
+        ({"sigma": 30.0}, (2, 8)),
+        ({"sigma": 10.0}, (3, 7)),
+    ], ids=["s0.7-512", "s1.0-1024", "ntau1-2-dim8", "s30-256x4",
+            "s10-128x8"])
     def test_report_norms_match_dense(self, market, grid_args):
         p = params(**market)
         if len(grid_args) == 1:
@@ -349,6 +355,22 @@ class TestNorm2:
         with np.errstate(all="raise"):
             got = qa.inversion._norm2(aslinearoperator(A), v)
         assert abs(got - want) <= 1e-12 * max(want, 1.0)
+
+    def test_memory_independent_of_steps(self):
+        # 89 steps on dim 2^15 (top singular value 1.01, next 1): the
+        # run holds a few vectors, not a basis of one per step
+        n = 2 ** 15
+        d = np.linspace(0.0, 1.0, n)
+        d[-1] = 1.01
+        op = aslinearoperator(sp.diags(d))
+        tracemalloc.start()
+        try:
+            got = qa.inversion._norm2(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - 1.01) <= 1e-12
+        assert peak < 16 * n * 8, f"tracemalloc peak {peak / 2 ** 20:.1f} MB"
 
     def test_step_bound(self, monkeypatch):
         A = np.diag(np.linspace(1.0, 2.0, 50))
