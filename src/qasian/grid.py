@@ -275,6 +275,20 @@ def _closure_row(N):
     return cols[cols >= 0], END_GHOST[cols >= 0]
 
 
+def time_diagonals(band):
+    """(dl, d, du, m) of Ct from its band storage (build_time_operator):
+    the sub-, main and superdiagonal, and the multiplier m of the row
+    operation E, row N-1 -= m row N-2, that clears Ct's one entry below
+    its subdiagonal, the closure row's (N-1, N-3).  E does not depend on
+    a shift s: E (Ct + s I) is tridiagonal for every s.  With N = 2 the
+    closure reaches no column N-3, so m = 0 and E = I."""
+    N = band.shape[1]
+    m = 0.0
+    if N >= 3:  # Ct[N-1, N-3] / Ct[N-2, N-3]
+        m = band[TIME_KU + 2, N - 3] / band[TIME_KU + 1, N - 3]
+    return band[TIME_KU + 1, :-1], band[TIME_KU], band[TIME_KU - 1, 1:], m
+
+
 def build_time_operator(spec):
     """Closed time operator Ct = delta_tau1*(C_tau1 + C_close), banded.
 

@@ -22,7 +22,9 @@ import math
 import numpy as np
 from scipy.linalg import schur
 from scipy.linalg.blas import dgemm, dnrm2
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dstebz, dstein
+from scipy.linalg.lapack import (dgbtrf, dgbtrs, dgetrf, dgetrs, dgttrf,
+                                 dgttrs, dstebz, dstein, zgetrf, zgetrs,
+                                 zgttrf, zgttrs)
 from scipy.sparse.linalg import LinearOperator
 
 from .errors import (AliasingError, DimensionCapError, NormConvergenceError,
@@ -31,25 +33,28 @@ from . import grid as grid_mod
 
 #: Largest space-time dimension N_tau1 * N_eta the solver accepts.  On a
 #: shared 2-core x86 VM with 2 BLAS threads, `qasian price` at sigma=1,
-#: n_eta=7 (512 x 128, dim 2^16) took 2.0-2.1 s at a peak RSS of 74 MB,
-#: and at sigma=0.5, n_eta=8 (512 x 256, dim 2^17) 3.6-3.7 s at 89 MB
-#: (three runs each).
+#: n_eta=7 (512 x 128, dim 2^16) took 1.8 s at a peak RSS of 72 MB, and
+#: at sigma=0.5, n_eta=8 (512 x 256, dim 2^17) 2.8-3.1 s at 83 MB (three
+#: runs each).
 DIM_CAP = 2 ** 17
 
 #: Smallest eigenvalue magnitude fast_invert_exact reciprocates.
 EIGEN_FLOOR = 1e-30
 
 #: Largest dimension whose Schur-transformed system is solved as one
-#: banded matrix rather than block by block.  Per solve, both paths do
-#: arithmetic growing as dim * N_eta, the whole band several times more,
-#: and the blocks add a fixed call cost per block, about N_eta of them:
-#: the crossing is set by dim alone.  On a shared 2-core x86 VM
-#: (solve_pricing_system with its report, medians of 7 calls, 5
-#: alternating rounds) the whole band was faster at dim 1024 in 19 of 20
-#: rounds (32 x 32: 20-38 ms against 27-48 ms by blocks; 16 x 64 and
-#: 8 x 128), and slower at dim 2048 in 12 of 15 (64 x 32, 32 x 64,
-#: 16 x 128) and at dim 4096 in 5 of 5 (128 x 32: 79-109 against
-#: 52-82 ms).
+#: banded matrix rather than block by block.  Per solve, the whole band
+#: does arithmetic growing as dim * N_eta, and the blocks add a fixed
+#: call cost per block, about N_eta of them, on tridiagonal solves of
+#: O(dim) arithmetic in all: the crossing is set by dim.  On a shared
+#: 2-core x86 VM (solve_pricing_system with its report, medians of 7
+#: calls, 5 alternating rounds) the whole band was faster at dim 512 in
+#: 18 of 20 rounds (32 x 16: 11-12 ms against 14-16 ms by blocks; 16 x 32,
+#: 8 x 64, 64 x 16) and at dim 1024 in 14 of 20 (32 x 32: 21-34 against
+#: 25-35 ms; 64 x 16, 16 x 64, 8 x 128), and slower at dim 2048 in 13 of
+#: 15 (64 x 32: 38-46 against 28-29 ms; 32 x 64, 16 x 128).  Only dim
+#: selects the whole band, whose (5 N_eta + 1) * dim entries grow as
+#: N_eta^2 at a fixed N_tau1: an N_tau1 = 2 grid with many columns
+#: (make_grid at low volatility) takes the blocks like any other.
 BANDED_SYSTEM_DIM = 2 ** 10
 
 #: Most Golub-Kahan-Lanczos steps _norm2 takes before it raises
@@ -191,26 +196,29 @@ class SpaceTimeSystem:
     exactly, in real arithmetic, by the Hessenberg-Schur method (Golub,
     Nash and Van Loan, IEEE TAC 24(6), 1979).  Ct is banded, with lower
     bandwidth 2 (the closure row) and upper bandwidth 1;
-    grid.build_operators builds it in LAPACK band storage, which is
-    factored as it is (`ops.Ct.data`) and applied as the dia_array it
-    comes in.  Only the N_eta x N_eta L^T = V T V^T is brought to real
-    Schur form: V is orthogonal and T quasi-upper-triangular, with a 1 x 1
-    diagonal block per real eigenvalue of L and a 2 x 2 block per complex
-    pair.  With Z = X V and F = C V the equation becomes Ct Z + Z T = F,
-    and its column blocks solve in order: block J takes
-    Ct Z_J + Z_J T_JJ = F_J - Z[:, :J] T[:J, J], which in time-major order
-    is one banded system Ct (x) I + I (x) T_JJ^T with bandwidths
-    (2 b, b) for a block of b columns (dgbtrf once per block, then
-    dgbtrs per solve).  A 1 x 1 block is the shifted time system
-    Ct + T_jj I.  M^T X = C runs the blocks backwards through the same
-    factors, transposed.  Ct is not normal (its closure row), which this
-    route does not need.  The factors grow as N_eta^2 + N_eta*N_tau1 + dim.
+    grid.build_operators builds it in LAPACK band storage, which the
+    factors are taken from as it is (`ops.Ct.data`), and it is applied as
+    the dia_array it comes in.  Only the N_eta x N_eta L^T = V T V^T is
+    brought to real Schur form: V is orthogonal and T quasi-upper-
+    triangular, with a 1 x 1 diagonal block per real eigenvalue of L and a
+    2 x 2 block per complex pair.  With Z = X V and F = C V the equation
+    becomes Ct Z + Z T = F, and its column blocks solve in order: block J
+    takes Ct Z_J + Z_J T_JJ = F_J - Z[:, :J] T[:J, J].  Each block is one
+    tridiagonal system of N_tau1 unknowns (_block_solver): one row
+    operation clears the closure row's entry below the subdiagonal, a
+    1 x 1 block is the real shifted system Ct + T_jj I, and a 2 x 2 block
+    is one complex shifted system Ct + (a + i w) I (at N_tau1 = 2, a
+    2 x 2 dense one).  M^T X = C runs the
+    blocks backwards through the same factors, transposed.  Ct is not
+    normal (its closure row), which this route does not need.  The
+    factors grow as N_eta^2 + N_eta*N_tau1 + dim.
 
     Up to dim BANDED_SYSTEM_DIM the block loop costs more in calls than
-    in arithmetic, so the partition is a single block of all N_eta
-    columns: Ct (x) I + I (x) T^T, bandwidths (2 N_eta, N_eta) because T^T
-    reaches only one diagonal above the main one, factored once and
-    stored in (5 N_eta + 1) * dim entries.
+    in arithmetic, so all N_eta columns are solved at once
+    (_band_solver): Ct (x) I + I (x) T^T in time-major order, bandwidths
+    (2 N_eta, N_eta) because T^T reaches only one diagonal above the main
+    one, factored once (dgbtrf) and stored in (5 N_eta + 1) * dim
+    entries.
 
     The split of the dense reference assembly follows from M without
     forming it: A + B = (I (x) A1^-1) M, A = I (x) A2, B = (A + B) - A and
@@ -237,10 +245,9 @@ class SpaceTimeSystem:
         Lt = (ops.C_eta1 + ops.C_eta2).T
         T, V = schur(Lt, output="real")
         if spec.dim <= BANDED_SYSTEM_DIM:
-            blocks = [(0, spec.N_eta)]
+            solve_schur = _band_solver(Ct.data, T)
         else:
-            blocks = _schur_blocks(T)
-        solve_schur = _block_solver(Ct.data, T, blocks)
+            solve_schur = _block_solver(Ct.data, T)
         Ct_adj = Ct.T
         a1 = np.diag(ops.A1)
         a1_inv = np.diag(fast_invert_exact("A1", spec, params))
@@ -248,9 +255,9 @@ class SpaceTimeSystem:
         apply_A2_inv = _blocks(fast_invert_exact("A2", spec, params))
 
         # Products go through scipy's BLAS (dgemm; trans_b=1 is the
-        # transpose), the library dgbtrs and _norm2 use: numpy ships its
-        # own OpenBLAS, and interleaving the two libraries' thread pools
-        # slowed the report five-fold on two cores.
+        # transpose), the library of the LAPACK solves and _norm2: numpy
+        # ships its own OpenBLAS, and interleaving the two libraries'
+        # thread pools slowed the report five-fold on two cores.
 
         def apply(X, adjoint):
             """M X = Ct X + X L^T, or M^T X = Ct^T X + X L."""
@@ -364,38 +371,121 @@ def _block_lu(band, Tb):
     return lu, piv
 
 
-def _block_solver(band, T, blocks):
+def _band_solver(band, T):
+    """(F, adjoint) -> Z with Ct Z + Z T = F, or Ct^T Z + Z T^T = F, as
+    one banded solve of all N_eta columns in time-major order."""
+    b = T.shape[0]
+    kl, ku = grid_mod.TIME_KL * b, grid_mod.TIME_KU * b
+    lu, piv = _block_lu(band, T)
+
+    def solve(F, adjoint):
+        z = np.ascontiguousarray(F).reshape(-1, 1)
+        dgbtrs(lu, kl, ku, z, piv, trans=int(adjoint), overwrite_b=1)
+        return z.reshape(F.shape)
+    return solve
+
+
+def _shifted_solver(diagonals, s):
+    """(y, trans) -> None: solves E (Ct + s I) x = y, or with trans "T"
+    its transpose, in place on y; diagonals from grid.time_diagonals.
+
+    Factored once by dgttrf, or zgttrf for a complex s.  scipy's ?gttrf
+    wrappers refuse n = 2, so at N_tau1 = 2 the 2 x 2 is factored by
+    dgetrf or zgetrf instead.
+    """
+    dl, d, du, m = diagonals
+    d = d + s
+    dl = dl.astype(d.dtype)
+    # row N-1 -= m row N-2 on the two entries it changes
+    dl[-1] -= m * d[-2]
+    d[-1] -= m * du[-1]
+    if d.size == 2:
+        getrf, getrs = (zgetrf, zgetrs) if np.iscomplexobj(d) else \
+            (dgetrf, dgetrs)
+        lu, piv, info = getrf(np.array([[d[0], du[0]], [dl[0], d[1]]]))
+
+        def solve(y, trans):
+            getrs(lu, piv, y, trans=int(trans == "T"), overwrite_b=1)
+    else:
+        gttrf, gttrs = (zgttrf, zgttrs) if np.iscomplexobj(d) else \
+            (dgttrf, dgttrs)
+        # du is Ct's own band row: the wrapper factors a copy of it
+        *lu, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1)
+
+        def solve(y, trans):
+            gttrs(*lu, y, trans=trans, overwrite_b=1)
+    if info != 0:
+        raise SingularFactorError(
+            "Ct and -L share an eigenvalue: the system is singular")
+    return solve
+
+
+def _block_solver(band, T):
     """(F, adjoint) -> Z with Ct Z + Z T = F, or Ct^T Z + Z T^T = F.
 
-    blocks partitions T's columns into ranges [lo, hi) that no 2 x 2
-    diagonal block straddles.  Each block is one banded solve (_block_lu),
-    after subtracting the coupling to the blocks already solved: the
-    earlier ones through T's columns, or, for the adjoint, the later ones
-    through T^T's.  Works in place on F's columns (F in Fortran order, as
-    dgemm returns it); a block of one column is solved without a copy.
+    T's 1 x 1 and 2 x 2 diagonal blocks (_schur_blocks) solve in order,
+    each after subtracting the coupling to the blocks already solved:
+    the earlier ones through T's columns, or, for the adjoint, the later
+    ones through T^T's.  Each block is one tridiagonal system of N_tau1
+    unknowns, E (Ct + s I) with E the closure row's row operation
+    (grid.time_diagonals), factored once (_shifted_solver):
+    - a 1 x 1 block is Ct z + t_jj z = g, s = t_jj real, solved in place
+      on F's column (F in Fortran order, as dgemm returns it);
+    - a 2 x 2 block [[a, b], [c, a]] with bc < 0 (LAPACK's standard form)
+      has eigenvalues a +- i w, w = sqrt(-bc).  y = b z_1 + i w z_2
+      solves (Ct + (a + i w) I) y = b g_1 + i w g_2, so z_1 = Re y / b and
+      z_2 = Im y / w.  The adjoint block [[a, c], [b, a]] takes c in
+      place of b, through the same complex factors transposed (not
+      conjugated: Ct^T + (a + i w) I).  Splitting y scales the rounding
+      of one part by sqrt(|b|/|c|) or its inverse: at most 38 over sigma
+      0.3-10 and n_eta 3-8 (sigma = 0.5, n_eta = 7).
+    Forward, E is applied to the right-hand side before the solve; for
+    the adjoint, (E (Ct + s I))^T is solved and E^T applied after.
     """
     n = T.shape[0]
-    factors = [(lo, hi) + _block_lu(band, T[lo:hi, lo:hi])
-               for lo, hi in blocks]
+    diagonals = grid_mod.time_diagonals(band)
+    m = diagonals[3]
+    factors = []
+    for lo, hi in _schur_blocks(T):
+        if hi - lo == 1:
+            factors.append(
+                (lo, hi, None, _shifted_solver(diagonals, T[lo, lo])))
+            continue
+        (a, b), (c, d) = T[lo:hi, lo:hi]
+        if d != a or not b * c < 0.0:
+            raise SingularFactorError(
+                f"Schur block at column {lo} is not in standard form")
+        w = math.sqrt(-b * c)
+        factors.append((lo, hi, (b, c, w),
+                        _shifted_solver(diagonals, complex(a, w))))
     T = np.asfortranarray(T)
     T_adj = np.asfortranarray(T.T)  # lower quasi-triangular
 
     def solve(F, adjoint):
+        F = np.asfortranarray(F)  # the 1 x 1 solves write into its columns
         if adjoint:
-            order, T_cols, trans = reversed(factors), T_adj, 1
+            order, T_cols, trans = reversed(factors), T_adj, "T"
         else:
-            order, T_cols, trans = factors, T, 0
-        for lo, hi, lu, piv in order:
+            order, T_cols, trans = factors, T, "N"
+        for lo, hi, pair, block_solve in order:
             done = slice(hi, n) if adjoint else slice(0, lo)
-            b = hi - lo
-            kl, ku = grid_mod.TIME_KL * b, grid_mod.TIME_KU * b
             if done.start != done.stop:
                 dgemm(-1.0, F[:, done], T_cols[done, lo:hi], beta=1.0,
                       c=F[:, lo:hi], overwrite_c=1)
-            # the block in time-major order is its row-major (N_tau1, b)
-            z = np.ascontiguousarray(F[:, lo:hi]).reshape(-1, 1)
-            dgbtrs(lu, kl, ku, z, piv, trans=trans, overwrite_b=1)
-            F[:, lo:hi] = z.reshape(-1, b)
+            if pair is None:
+                y = F[:, lo]
+            else:
+                b, c, w = pair
+                p = c if adjoint else b
+                y = p * F[:, lo] + 1j * w * F[:, lo + 1]
+            if not adjoint:
+                y[-1] -= m * y[-2]
+            block_solve(y, trans)
+            if adjoint:
+                y[-2] -= m * y[-1]
+            if pair is not None:
+                F[:, lo] = y.real / p
+                F[:, lo + 1] = y.imag / w
         return F
     return solve
 

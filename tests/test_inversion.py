@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 import weakref
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -226,18 +227,28 @@ class TestSpaceTimeSystem:
         spec = qa.grid_spec_direct(p, 4, n_tau1)
         if by_blocks:
             monkeypatch.setattr(qa.inversion, "BANDED_SYSTEM_DIM", 0)
-        sizes = []
+        band_sizes, sizes = [], []
         block_lu = qa.inversion._block_lu
+        shifted_solver = qa.inversion._shifted_solver
 
         def recording_block_lu(band, Tb):
-            sizes.append(Tb.shape[0])
+            band_sizes.append(Tb.shape[0])
             return block_lu(band, Tb)
+
+        def recording_shifted_solver(diagonals, s):
+            # a real shift is a 1 x 1 block, a complex one a 2 x 2 pair
+            sizes.append(2 if np.iscomplexobj(s) else 1)
+            return shifted_solver(diagonals, s)
         monkeypatch.setattr(qa.inversion, "_block_lu", recording_block_lu)
+        monkeypatch.setattr(qa.inversion, "_shifted_solver",
+                            recording_shifted_solver)
         W = qa.inversion.SpaceTimeSystem(spec, p)
         if by_blocks:
+            # N_tau1 = 2 too: no whole-band factor on the block path
             assert set(sizes) == {1, 2} and sum(sizes) == spec.N_eta
+            assert band_sizes == []
         else:
-            assert sizes == [spec.N_eta]
+            assert band_sizes == [spec.N_eta] and sizes == []
         M, _, A, B = assemble_system(spec, p)
         AB = A + B
         W_dense = np.eye(spec.dim) + np.linalg.solve(A, B)
@@ -252,6 +263,69 @@ class TestSpaceTimeSystem:
                 assert got.dtype == np.float64, name
                 assert np.linalg.norm(got - want) <= \
                     1e-12 * np.linalg.norm(want), name
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(sigma=st.floats(0.2, 3.0), r=st.floats(0.0, 0.1),
+           n_eta=st.integers(2, 4), n_tau1=st.integers(1, 3))
+    def test_block_path_matches_dense(self, sigma, r, n_eta, n_tau1):
+        # the per-block tridiagonal solves, forward and adjoint, against
+        # dense solves of M on random small markets
+        p = params(sigma=sigma, r=r)
+        spec = qa.grid_spec_direct(p, n_eta, n_tau1)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(qa.inversion, "BANDED_SYSTEM_DIM", 0)
+            W = qa.inversion.SpaceTimeSystem(spec, p)
+        M = assemble_system(spec, p)[0]
+        a1 = np.tile(np.diag(qa.build_A1(spec, p)), spec.N_tau1)
+        x = np.random.default_rng(n_eta).normal(size=spec.dim)
+        for got, ref in ((W.AB_inv.matvec(x), np.linalg.solve(M, a1 * x)),
+                         (W.AB_inv.rmatvec(x), a1 * np.linalg.solve(M.T, x))):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("Ct, s", [
+        ([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], -1.0),
+        ([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], 1j),
+        ([[1, 1], [0, 2]], -1.0),
+        ([[0, 1], [-1, 0]], 1j),
+    ], ids=["tridiagonal-real", "tridiagonal-complex", "2x2-real",
+            "2x2-complex"])
+    def test_singular_shift(self, Ct, s):
+        # each hand-built Ct has -s as an eigenvalue, so Ct + s I is
+        # exactly singular; Ct + (s + 1/2) I is not, and is solved
+        # forward and transposed (no closure entry here, so E = I)
+        Ct = np.array(Ct, dtype=float)
+        n = len(Ct)
+        band = np.zeros((4, n))  # data[1 + i - j, j] = Ct[i, j]
+        for i, j in zip(*np.nonzero(Ct)):
+            band[1 + i - j, j] = Ct[i, j]
+        diagonals = qa.grid.time_diagonals(band)
+        with pytest.raises(SingularFactorError, match="singular"):
+            qa.inversion._shifted_solver(diagonals, s)
+        solve = qa.inversion._shifted_solver(diagonals, s + 0.5)
+        shifted = Ct + (s + 0.5) * np.eye(n)
+        for trans, A in (("N", shifted), ("T", shifted.T)):
+            y = np.arange(1.0, n + 1, dtype=np.result_type(s, float))
+            solve(y, trans)
+            assert np.allclose(A @ y, np.arange(1.0, n + 1), rtol=1e-14)
+
+    def test_schur_block_form_checked(self, monkeypatch):
+        # a 2 x 2 Schur block turned out of LAPACK's standard form
+        # [[a, b], [c, a]] is refused, not solved with the wrong formula
+        p = params(sigma=0.7, r=0.03)
+        spec = qa.grid_spec_direct(p, 4, 2)
+        schur = qa.inversion.schur
+
+        def rotated_schur(a, **kwargs):
+            T, V = schur(a, **kwargs)
+            lo = next(j for j in range(len(T) - 1) if T[j + 1, j] != 0.0)
+            c, s = np.cos(0.3), np.sin(0.3)
+            Q = np.eye(len(T))
+            Q[lo:lo + 2, lo:lo + 2] = [[c, -s], [s, c]]
+            return Q.T @ T @ Q, V @ Q
+        monkeypatch.setattr(qa.inversion, "schur", rotated_schur)
+        monkeypatch.setattr(qa.inversion, "BANDED_SYSTEM_DIM", 0)
+        with pytest.raises(SingularFactorError, match="standard form"):
+            qa.inversion.SpaceTimeSystem(spec, p)
 
     def test_freed_without_cyclic_gc(self):
         # a solved system holds no reference to itself: reference counting
