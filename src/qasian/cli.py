@@ -297,11 +297,20 @@ def _emit_extraction_csvs(out, spec, params, result):
     tau1 = spec.delta_tau1 * (interp.t_lo + 1 + np.arange(interp.Nt_win))
     surface = np.reshape(interp.psi(tau1[:, None], eta[None, :]),
                          (tau1.size, eta.size))
-    with open(os.path.join(out, "surface.csv"), "w") as fh:
+    _write_surface(os.path.join(out, "surface.csv"), tau1, eta, surface)
+
+
+def _write_surface(path, tau1, eta, surface):
+    """surface.csv: one "tau1,eta,psi" line per node, each value as
+    f"{v:.12g}".  Every tau1 and eta is formatted once, and each tau1 row
+    is written by one %-format ("%.12g" formats as ".12g" does)."""
+    # "{}" stands for the row's tau1 in every line of the row
+    row_format = "".join(f"{{}},{x:.12g},%.12g\n" for x in eta)
+    with open(path, "w") as fh:
         fh.write("tau1,eta,psi\n")
         for t, row in zip(tau1, surface):
-            for x, v in zip(eta, row):
-                fh.write(f"{t:.12g},{x:.12g},{v:.12g}\n")
+            fh.write(row_format.replace("{}", f"{t:.12g}")
+                     % tuple(row.tolist()))
 
 
 def run_compare(cfg):

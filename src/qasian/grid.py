@@ -43,6 +43,7 @@ import math
 import numbers
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 from scipy.sparse import dia_array
 
 from .errors import InfeasibleScaleError, ValidationError
@@ -362,11 +363,13 @@ def fourier_multiplier(n, d):
     frequencies k, entry (x, y) is sum_k d_k exp(2 pi i k (x - y)/N)/N,
     which is real when d is real and even in k (a cosine sum) or
     imaginary and odd (a sine sum), as every multiplier here is.  The product is
-    formed in complex arithmetic; its imaginary part is dropped only if
-    it is rounding, otherwise ValidationError.
+    formed in complex arithmetic, by scipy's zgemm (trans_a=2 is the
+    conjugate transpose) rather than numpy's own BLAS, whose thread pool
+    contends with scipy's; its imaginary part is dropped only if it is
+    rounding, otherwise ValidationError.
     """
     F = build_centered_dft(n)
-    m = F.conj().T @ (d[:, None] * F)
+    m = zgemm(1.0, F, d[:, None] * F, trans_a=2)
     if np.max(np.abs(m.imag)) > IMAG_TOL * np.max(np.abs(m.real)):
         raise ValidationError(
             "Fourier multiplier is not real: it must be real and even, or "

@@ -35,7 +35,10 @@ from . import grid as grid_mod
 #: shared 2-core x86 VM with 2 BLAS threads, `qasian price` at sigma=1,
 #: n_eta=7 (512 x 128, dim 2^16) took 1.8 s at a peak RSS of 72 MB, and
 #: at sigma=0.5, n_eta=8 (512 x 256, dim 2^17) 2.8-3.1 s at 83 MB (three
-#: runs each).
+#: runs each).  The spatial operators are dense N_eta x N_eta matrices, so
+#: N_eta^2 is held to the same cap: at sigma=0.002, n_eta=12 (make_grid
+#: picks 2 x 4096, dim 2^13) `qasian price` ran 76 s at a 2.26 GB peak
+#: RSS before its residual check failed.
 DIM_CAP = 2 ** 17
 
 #: Smallest eigenvalue magnitude fast_invert_exact reciprocates.
@@ -210,8 +213,12 @@ class SpaceTimeSystem:
     is one complex shifted system Ct + (a + i w) I (at N_tau1 = 2, a
     2 x 2 dense one).  M^T X = C runs the
     blocks backwards through the same factors, transposed.  Ct is not
-    normal (its closure row), which this route does not need.  The
-    factors grow as N_eta^2 + N_eta*N_tau1 + dim.
+    normal (its closure row), which this route does not need.  The sweep
+    runs in one (N_tau1, N_eta) workspace, into which F = C V is
+    multiplied, with every view of it taken when the factors are built,
+    so a solve allocates nothing per block.  The factors grow as
+    N_eta^2 + N_eta*N_tau1 + dim; both dim and N_eta^2 are held to
+    DIM_CAP.
 
     Up to dim BANDED_SYSTEM_DIM the block loop costs more in calls than
     in arithmetic, so all N_eta columns are solved at once
@@ -226,7 +233,19 @@ class SpaceTimeSystem:
     LinearOperators (`AB`, `AB_inv`, `B`, `W`, `W_inv`); a complex vector
     is applied as its real and imaginary parts.  `report` takes their
     largest singular values by Golub-Kahan-Lanczos bidiagonalisation
-    (_norm2), in at most NORM_STEPS steps each.  The operators close
+    (_norm2), in at most NORM_STEPS steps each.  The two inverse norms
+    are taken in Schur coordinates: right-multiplying by the orthogonal
+    V leaves a norm unchanged and turns (A + B)^-1 into Y -> S^-1 (Y G_1)
+    and W^-1 into Y -> S^-1 (Y G_W), with S Z = Ct Z + Z T,
+    G_1 = V^T diag(A1) V and G_W = V^T C_eta1^T V formed once
+    (`AB_inv_schur`, `W_inv_schur`; adjoints Y -> S^-T (Y) G^T).  A
+    product is then one dgemm and one sweep, not the three dgemms and
+    the scaling of the physical route: 0.24-0.42 ms against 0.40-0.72 ms
+    at 128 x 64, and 2.3-3.0 ms against 3.0-4.8 ms at 512 x 128 (shared
+    2-core x86 VM, 2 BLAS threads).  Both runs start from _norm2's
+    default vector mapped by V, the image of the physical runs' start, so
+    they take the same number of steps as the physical runs would.
+    `solve` keeps the physical W^-1.  The operators close
     over the factors, never over the system, so that a system
     holds no reference to itself and is freed as soon as its caller drops
     it.  The object stands for W x = rhs_pre: `system @ x` is W x and
@@ -237,6 +256,10 @@ class SpaceTimeSystem:
         if spec.dim > DIM_CAP:
             raise DimensionCapError(
                 f"dimension {spec.dim} exceeds cap {DIM_CAP}")
+        if spec.N_eta ** 2 > DIM_CAP:
+            raise DimensionCapError(
+                f"N_eta^2 = {spec.N_eta ** 2} (the entries of each dense "
+                f"spatial operator) exceeds cap {DIM_CAP}")
         ops = grid_mod.build_operators(spec, params, kink_shift=kink_shift)
         self.spec = spec
         self.norm_b = ops.norm_b
@@ -267,8 +290,7 @@ class SpaceTimeSystem:
 
         def solve(X, adjoint):
             """M^-1 X, or M^-T X, through Ct Z + Z T = X V."""
-            return dgemm(1.0, solve_schur(dgemm(1.0, X, V), adjoint), V,
-                         trans_b=1)
+            return dgemm(1.0, solve_schur(X, V, adjoint), V, trans_b=1)
 
         def ab(X, adjoint):
             """A + B = (I (x) A1^-1) M, A1 a column scaling."""
@@ -282,12 +304,29 @@ class SpaceTimeSystem:
                 return solve(X, True) * a1
             return solve(X * a1, False)
 
+        def schur_inverse(G):
+            """Y -> S^-1 (Y G), or Y -> S^-T (Y) G^T: M^-1 (I (x) P) in
+            Schur coordinates, for G = V^T P^T V."""
+            def on_grid(Y, adjoint):
+                if adjoint:
+                    return dgemm(1.0, solve_schur(Y, None, True), G,
+                                 trans_b=1)
+                return np.array(solve_schur(Y, G, False), order="C")
+            return on_grid
+
         self.AB = _operator(shape, ab)
         self.AB_inv = _operator(shape, ab_inv)
         self.B = _operator(shape, lambda X, adjoint: (
             ab(X, adjoint) - apply_A(X, adjoint)))
         self.W = _operator(shape, _compose(apply_A2_inv, ab))
         self.W_inv = _operator(shape, _compose(ab_inv, apply_A))
+        # (A + B)^-1 = M^-1 (I (x) A1) and W^-1 = M^-1 (I (x) C_eta1), as
+        # maps of Y = X V: one dgemm and one sweep per product
+        self.V = V
+        self.AB_inv_schur = _operator(shape, schur_inverse(
+            dgemm(1.0, V, V * a1[:, None], trans_a=1)))
+        self.W_inv_schur = _operator(shape, schur_inverse(
+            dgemm(1.0, V, dgemm(1.0, ops.C_eta1, V, trans_a=1), trans_a=1)))
         self.rhs_pre = apply_A2_inv(
             ops.rhs_hat.reshape(shape) * a1_inv, False).reshape(-1)
 
@@ -299,14 +338,24 @@ class SpaceTimeSystem:
         return self.W_inv @ rhs_pre
 
     def report(self):
-        """Condition numbers and bound terms from largest singular values."""
-        norm_B = _norm2(self.B)
-        norm_AB_inv = _norm2(self.AB_inv)
+        """Condition numbers and bound terms from largest singular values.
+
+        Every run starts from _norm2's default vector; the inverse norms,
+        taken in Schur coordinates (AB_inv_schur, W_inv_schur), start from
+        its image under V, so each of their runs is the image of the
+        physical operator's run under an orthogonal map.
+        """
+        shape = (self.spec.N_tau1, self.spec.N_eta)
+        start = _start_vector(self.spec.dim)
+        start_schur = dgemm(1.0, start.reshape(shape), self.V).reshape(-1)
+        norm_B = _norm2(self.B, start)
+        norm_AB_inv = _norm2(self.AB_inv_schur, start_schur)
         # ||A^-1|| = ||A2^-1||, the reciprocal of A2's smallest eigenvalue
         norm_A_inv = 1.0 / float(np.min(grid_mod.a2_eigenvalues(self.spec)))
         return PreconditionReport(
-            kappa_raw=_norm2(self.AB) * norm_AB_inv,
-            kappa_W=_norm2(self.W) * _norm2(self.W_inv),
+            kappa_raw=_norm2(self.AB, start) * norm_AB_inv,
+            kappa_W=(_norm2(self.W, start)
+                     * _norm2(self.W_inv_schur, start_schur)),
             C_AB=1.0 + norm_AB_inv * norm_B,
             C_AB_prime=1.0 + norm_A_inv * norm_B)
 
@@ -372,14 +421,16 @@ def _block_lu(band, Tb):
 
 
 def _band_solver(band, T):
-    """(F, adjoint) -> Z with Ct Z + Z T = F, or Ct^T Z + Z T^T = F, as
-    one banded solve of all N_eta columns in time-major order."""
+    """(X, G, adjoint) -> Z with Ct Z + Z T = F, or Ct^T Z + Z T^T = F,
+    for F = X G (X itself if G is None), as one banded solve of all N_eta
+    columns in time-major order."""
     b = T.shape[0]
     kl, ku = grid_mod.TIME_KL * b, grid_mod.TIME_KU * b
     lu, piv = _block_lu(band, T)
 
-    def solve(F, adjoint):
-        z = np.ascontiguousarray(F).reshape(-1, 1)
+    def solve(X, G, adjoint):
+        F = X if G is None else dgemm(1.0, X, G)
+        z = np.array(F, order="C").reshape(-1, 1)
         dgbtrs(lu, kl, ku, z, piv, trans=int(adjoint), overwrite_b=1)
         return z.reshape(F.shape)
     return solve
@@ -405,15 +456,18 @@ def _shifted_solver(diagonals, s):
         lu, piv, info = getrf(np.array([[d[0], du[0]], [dl[0], d[1]]]))
 
         def solve(y, trans):
-            getrs(lu, piv, y, trans=int(trans == "T"), overwrite_b=1)
+            getrs(lu, piv, y, int(trans == "T"), 1)  # overwrite_b=1
     else:
         gttrf, gttrs = (zgttrf, zgttrs) if np.iscomplexobj(d) else \
             (dgttrf, dgttrs)
         # du is Ct's own band row: the wrapper factors a copy of it
-        *lu, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1)
+        dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_dl=1,
+                                           overwrite_d=1)
 
         def solve(y, trans):
-            gttrs(*lu, y, trans=trans, overwrite_b=1)
+            # positional (overwrite_b=1): f2py's keyword parsing costs a
+            # third of a call at N_tau1 = 128
+            gttrs(dl, d, du, du2, ipiv, y, trans, 1)
     if info != 0:
         raise SingularFactorError(
             "Ct and -L share an eigenvalue: the system is singular")
@@ -421,20 +475,26 @@ def _shifted_solver(diagonals, s):
 
 
 def _block_solver(band, T):
-    """(F, adjoint) -> Z with Ct Z + Z T = F, or Ct^T Z + Z T^T = F.
+    """(X, G, adjoint) -> Z with Ct Z + Z T = F, or Ct^T Z + Z T^T = F,
+    for F = X G (X itself if G is None).
 
-    T's 1 x 1 and 2 x 2 diagonal blocks (_schur_blocks) solve in order,
-    each after subtracting the coupling to the blocks already solved:
-    the earlier ones through T's columns, or, for the adjoint, the later
-    ones through T^T's.  Each block is one tridiagonal system of N_tau1
-    unknowns, E (Ct + s I) with E the closure row's row operation
-    (grid.time_diagonals), factored once (_shifted_solver):
+    F is formed in a Fortran-order workspace that the solver owns, and Z
+    is returned in it: valid until the next call, so a caller copies or
+    multiplies it out.  T's 1 x 1 and 2 x 2 diagonal blocks
+    (_schur_blocks) solve in order, each after subtracting the coupling
+    to the blocks already solved: the earlier ones through T's columns,
+    or, for the adjoint, the later ones through T^T's.  Every view of the
+    workspace and every coupling slice of T is taken once, here.  Each
+    block is one tridiagonal system of N_tau1 unknowns, E (Ct + s I) with
+    E the closure row's row operation (grid.time_diagonals), factored
+    once (_shifted_solver):
     - a 1 x 1 block is Ct z + t_jj z = g, s = t_jj real, solved in place
-      on F's column (F in Fortran order, as dgemm returns it);
+      on the workspace's column;
     - a 2 x 2 block [[a, b], [c, a]] with bc < 0 (LAPACK's standard form)
       has eigenvalues a +- i w, w = sqrt(-bc).  y = b z_1 + i w z_2
       solves (Ct + (a + i w) I) y = b g_1 + i w g_2, so z_1 = Re y / b and
-      z_2 = Im y / w.  The adjoint block [[a, c], [b, a]] takes c in
+      z_2 = Im y / w.  y is formed and split in place, in one preallocated
+      complex vector.  The adjoint block [[a, c], [b, a]] takes c in
       place of b, through the same complex factors transposed (not
       conjugated: Ct^T + (a + i w) I).  Splitting y scales the rounding
       of one part by sqrt(|b|/|c|) or its inverse: at most 38 over sigma
@@ -445,47 +505,59 @@ def _block_solver(band, T):
     n = T.shape[0]
     diagonals = grid_mod.time_diagonals(band)
     m = diagonals[3]
-    factors = []
+    F = np.empty((band.shape[1], n), order="F")
+    y_pair = np.empty(band.shape[1], dtype=complex)
+    y_re, y_im = y_pair.real, y_pair.imag
+    steps = {False: [], True: []}
     for lo, hi in _schur_blocks(T):
         if hi - lo == 1:
-            factors.append(
-                (lo, hi, None, _shifted_solver(diagonals, T[lo, lo])))
-            continue
-        (a, b), (c, d) = T[lo:hi, lo:hi]
-        if d != a or not b * c < 0.0:
-            raise SingularFactorError(
-                f"Schur block at column {lo} is not in standard form")
-        w = math.sqrt(-b * c)
-        factors.append((lo, hi, (b, c, w),
-                        _shifted_solver(diagonals, complex(a, w))))
-    T = np.asfortranarray(T)
-    T_adj = np.asfortranarray(T.T)  # lower quasi-triangular
-
-    def solve(F, adjoint):
-        F = np.asfortranarray(F)  # the 1 x 1 solves write into its columns
-        if adjoint:
-            order, T_cols, trans = reversed(factors), T_adj, "T"
+            pair = None
+            block_solve = _shifted_solver(diagonals, T[lo, lo])
         else:
-            order, T_cols, trans = factors, T, "N"
-        for lo, hi, pair, block_solve in order:
-            done = slice(hi, n) if adjoint else slice(0, lo)
+            (a, b), (c, d) = T[lo:hi, lo:hi]
+            if d != a or not b * c < 0.0:
+                raise SingularFactorError(
+                    f"Schur block at column {lo} is not in standard form")
+            w = math.sqrt(-b * c)
+            pair = (b, c, w)
+            block_solve = _shifted_solver(diagonals, complex(a, w))
+        for adjoint, done, T_cols in ((False, slice(0, lo), T),
+                                      (True, slice(hi, n), T.T)):
+            coupling = None
             if done.start != done.stop:
-                dgemm(-1.0, F[:, done], T_cols[done, lo:hi], beta=1.0,
-                      c=F[:, lo:hi], overwrite_c=1)
+                coupling = (F[:, done], np.asfortranarray(T_cols[done, lo:hi]),
+                            F[:, lo:hi])
             if pair is None:
-                y = F[:, lo]
+                steps[adjoint].append((coupling, None, F[:, lo], block_solve))
             else:
-                b, c, w = pair
-                p = c if adjoint else b
-                y = p * F[:, lo] + 1j * w * F[:, lo + 1]
+                columns = (F[:, lo], F[:, lo + 1], c if adjoint else b, w)
+                steps[adjoint].append((coupling, columns, y_pair, block_solve))
+    steps[True].reverse()
+
+    def solve(X, G, adjoint):
+        if G is None:
+            F[...] = X
+        else:
+            dgemm(1.0, X, G, c=F, overwrite_c=1)
+        trans = "T" if adjoint else "N"
+        for coupling, columns, y, block_solve in steps[adjoint]:
+            if coupling is not None:
+                done, T_done, block = coupling
+                # block -= done T_done in place (beta=1, c=block,
+                # overwrite_c=1), positional as in _shifted_solver
+                dgemm(-1.0, done, T_done, 1.0, block, 0, 0, 1)
+            if columns is not None:
+                g1, g2, p, w = columns
+                np.multiply(g1, p, out=y_re)
+                np.multiply(g2, w, out=y_im)
             if not adjoint:
                 y[-1] -= m * y[-2]
             block_solve(y, trans)
             if adjoint:
                 y[-2] -= m * y[-1]
-            if pair is not None:
-                F[:, lo] = y.real / p
-                F[:, lo + 1] = y.imag / w
+            if columns is not None:
+                np.divide(y_re, p, out=g1)
+                np.divide(y_im, w, out=g2)
         return F
     return solve
 
@@ -510,9 +582,8 @@ def _norm2(op, v=None):
     invariant and theta exact; a run that has not stopped after
     NORM_STEPS steps raises NormConvergenceError.
     """
-    n = op.shape[1]
     if v is None:
-        v = np.random.default_rng(0).standard_normal(n)
+        v = _start_vector(op.shape[1])
     v = v / dnrm2(v)
     u = op.matvec(v)
     alpha, beta = [dnrm2(u)], []
@@ -536,6 +607,11 @@ def _norm2(op, v=None):
         f"largest singular value not converged in {NORM_STEPS} "
         f"Golub-Kahan-Lanczos steps (residual {beta[-1] * abs(y_k):.3e}, "
         f"value {theta:.6e})")
+
+
+def _start_vector(n):
+    """_norm2's default start: a fixed-seed normal draw of length n."""
+    return np.random.default_rng(0).standard_normal(n)
 
 
 def _top_left(alpha, beta):

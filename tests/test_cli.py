@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from qasian import cli, extraction, grid, inversion
@@ -101,6 +102,20 @@ class TestCommands:
         assert summary["grid"]["n_tau1"] == 7
         assert summary["condition"]["bound_satisfied"] is True
 
+    def test_surface_csv_bytes(self, tmp_path):
+        # surface.csv holds the bytes of one f"{v:.12g}" per value
+        tau1 = np.array([0.1, 1.0 / 3.0, 1e16])
+        eta = np.array([-4.0, -0.0, 0.0, 1e-300, 2.5])
+        surface = np.array([[0.0, -0.0, 1e-300, 1e16, -3.25],
+                            [-1e-300, 2.0 / 3.0, -1e16, 5e-324, 0.1],
+                            [1.0, -7.0, 123456789.0123, -0.0, 1e-5]])
+        want = "tau1,eta,psi\n" + "".join(
+            f"{t:.12g},{x:.12g},{v:.12g}\n"
+            for t, row in zip(tau1, surface) for x, v in zip(eta, row))
+        path = tmp_path / "surface.csv"
+        cli._write_surface(str(path), tau1, eta, surface)
+        assert path.read_bytes() == want.encode()
+
     def test_converge_levels(self, tmp_path, capsys):
         code = run(tmp_path, "--preset", "smoke", "converge", "--levels", "3")
         assert code == 0
@@ -194,6 +209,18 @@ class TestExitCodes:
                           "price")
         assert code == 3
         assert "exceeds cap" in capsys.readouterr().err
+
+    def test_spatial_dimension_cap(self, tmp_path, capsys, monkeypatch):
+        # sigma = 0.002, n_eta = 12 resolves 2 x 2^12 unknowns, under the
+        # cap, but each dense N_eta x N_eta spatial operator holds 2^24
+        # entries; the run stops before any operator is built
+        def no_build(*args, **kwargs):
+            raise AssertionError("operators built past the dimension cap")
+        monkeypatch.setattr(grid, "build_operators", no_build)
+        code = run_config(tmp_path, {"params": {"sigma": 0.002},
+                                     "n_eta": 12}, "price")
+        assert code == 3
+        assert "N_eta^2 = 16777216" in capsys.readouterr().err
 
     def test_norm_step_bound(self, tmp_path, capsys, monkeypatch):
         # a condition report that does not converge within its step bound

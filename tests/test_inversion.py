@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import aslinearoperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 import qasian as qa
 from qasian.errors import (AliasingError, NormConvergenceError,
@@ -282,6 +282,54 @@ class TestSpaceTimeSystem:
                          (W.AB_inv.rmatvec(x), a1 * np.linalg.solve(M.T, x))):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("n_tau1", [1, 2, 3])
+    @pytest.mark.parametrize("by_blocks", [False, True],
+                             ids=["whole", "blocks"])
+    def test_schur_maps_match_dense(self, n_tau1, by_blocks, monkeypatch):
+        # the report's inverse maps act on Y = X V: with Q = I (x) V each
+        # is Q^T P^-1 Q for P = A + B or W, forward and adjoint; this
+        # market's L has 2 x 2 Schur blocks, and n_tau1 = 1 is N_tau1 = 2
+        p = params(sigma=0.7, r=0.03)
+        spec = qa.grid_spec_direct(p, 4, n_tau1)
+        if by_blocks:
+            monkeypatch.setattr(qa.inversion, "BANDED_SYSTEM_DIM", 0)
+        W = qa.inversion.SpaceTimeSystem(spec, p)
+        _, _, A, B = assemble_system(spec, p)
+        Q = np.kron(np.eye(spec.N_tau1), W.V)
+        W_dense = np.eye(spec.dim) + np.linalg.solve(A, B)
+        x = np.random.default_rng(n_tau1).normal(size=spec.dim)
+        for name, P in (("AB_inv_schur", A + B), ("W_inv_schur", W_dense)):
+            op = getattr(W, name)
+            ref = Q.T @ np.linalg.solve(P, Q @ x)
+            ref_adj = Q.T @ np.linalg.solve(P.T, Q @ x)
+            for got, want in ((op.matvec(x), ref), (op.rmatvec(x), ref_adj)):
+                assert np.linalg.norm(got - want) <= \
+                    1e-12 * np.linalg.norm(want), name
+
+    @pytest.mark.parametrize("by_blocks", [False, True],
+                             ids=["whole", "blocks"])
+    def test_products_own_their_results(self, by_blocks, monkeypatch):
+        # the block sweep works in one workspace: a product leaves its
+        # input alone, and the next product does not overwrite its result
+        p = params(sigma=0.7, r=0.03)
+        spec = qa.grid_spec_direct(p, 4, 2)
+        if by_blocks:
+            monkeypatch.setattr(qa.inversion, "BANDED_SYSTEM_DIM", 0)
+        W = qa.inversion.SpaceTimeSystem(spec, p)
+        rng = np.random.default_rng(4)
+        x, x2 = rng.normal(size=(2, spec.dim))
+        z = x + 1j * x2
+        for name in ("AB_inv", "W_inv", "AB_inv_schur", "W_inv_schur"):
+            op = getattr(W, name)
+            for product in (op.matvec, op.rmatvec):
+                for first in (x, z):
+                    before = first.copy()
+                    got = product(first)
+                    kept = got.copy()
+                    product(x2)
+                    assert np.array_equal(got, kept), name
+                    assert np.array_equal(first, before), name
+
     @pytest.mark.parametrize("Ct, s", [
         ([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], -1.0),
         ([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], 1j),
@@ -384,10 +432,47 @@ class TestNorm2:
         W_dense = np.eye(spec.dim) + np.linalg.solve(A, B)
         dense = {"AB": AB, "AB_inv": np.linalg.inv(AB), "B": B,
                  "W": W_dense, "W_inv": np.linalg.inv(W_dense)}
+        # the report's maps in Schur coordinates have the same norms
+        dense["AB_inv_schur"] = dense["AB_inv"]
+        dense["W_inv_schur"] = dense["W_inv"]
         for name, ref in dense.items():
             want = np.linalg.norm(ref, 2)
             got = qa.inversion._norm2(getattr(W, name))
             assert abs(got - want) <= 1e-12 * want, name
+
+    @pytest.mark.parametrize("market,grid_args,counts", [
+        ({"sigma": 1.0}, (6,), [28, 20, 26, 20, 66]),            # 128 x 64
+        ({"sigma": 30.0}, (2, 8), [28, 448, 26, 20, 260]),       # 256 x 4
+    ], ids=["s1.0-128x64", "s30-256x4"])
+    def test_report_product_counts(self, market, grid_args, counts,
+                                   monkeypatch):
+        # products per norm, in the order ||B||, ||(A+B)^-1||, ||A+B||,
+        # ||W||, ||W^-1||, as the physical operators took them: the maps
+        # in Schur coordinates start from the image of the same vector
+        p = params(**market)
+        if len(grid_args) == 1:
+            spec = qa.make_grid(p, grid_args[0], 1e-3)
+        else:
+            spec = qa.grid_spec_direct(p, *grid_args)
+        norm2 = qa.inversion._norm2
+        got = []
+
+        def counting_norm2(op, v=None):
+            n = [0]
+
+            def counted(product):
+                def call(x):
+                    n[0] += 1
+                    return product(x)
+                return call
+            value = norm2(LinearOperator(op.shape, dtype=op.dtype,
+                                         matvec=counted(op.matvec),
+                                         rmatvec=counted(op.rmatvec)), v)
+            got.append(n[0])
+            return value
+        monkeypatch.setattr(qa.inversion, "_norm2", counting_norm2)
+        qa.inversion.SpaceTimeSystem(spec, p).report()
+        assert got == counts
 
     def test_report_matches_arpack_record(self):
         # sigma = 1, n_eta = 6 (128 x 64), as reported by the ARPACK
