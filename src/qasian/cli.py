@@ -100,11 +100,18 @@ NULLABLE = {"n_tau1": int, "extraction.Delta": float}
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
+#: Least value of each bounded numeric leaf: an estimator's error and the
+#: seeds cannot be negative, the Monte-Carlo oracle takes at least one
+#: step and (its own rule) 1000 paths.
+MINIMUM = {"extraction.ae_eps": 0, "extraction.seed": 0, "oracle.seed": 0,
+           "oracle.n_steps": 1, "oracle.n_paths": 1000}
+
 
 def _check_config(cfg, default, prefix=""):
-    """Reject unknown keys at every level of cfg, and values of the wrong
-    type: an int leaf takes integers, a float leaf finite reals (integers
-    included), a str leaf strings, and a NULLABLE leaf None as well."""
+    """Reject unknown keys at every level of cfg, values of the wrong
+    type (an int leaf takes integers, a float leaf finite reals, integers
+    included, a str leaf strings, and a NULLABLE leaf None as well) and
+    values below their MINIMUM."""
     for key, value in cfg.items():
         name = prefix + key
         if key not in default:
@@ -120,6 +127,9 @@ def _check_config(cfg, default, prefix=""):
         if not (value is None and name in NULLABLE or _is_kind(value, kind)):
             raise ValidationError(f"config {name} must be "
                                   f"{_KIND_NAMES[kind]}, got {value!r}")
+        if name in MINIMUM and value < MINIMUM[name]:
+            raise ValidationError(f"config {name} must be >= "
+                                  f"{MINIMUM[name]}, got {value!r}")
 
 
 def _is_kind(value, kind):
@@ -255,8 +265,10 @@ def _price_from_state(state, spec, params, cfg, est, scale):
     N_tau1 = 2 the oldest of them is the tau1 = 0 payoff, known without
     a measurement).  |psi| is read from single-cell windows, one
     amplitude estimation each, at the two lattice cells bracketing eta0,
-    and interpolated linearly in eta.  `scale` relates squared
-    amplitudes to psi^2, as in extraction.extract_psi_2d.
+    and interpolated linearly in eta.  Only those cells are squared: each
+    slice's pair is a 1 x 2 probability table of its own.  `scale`
+    relates squared amplitudes to psi^2, as in
+    extraction.extract_psi_2d.
     """
     S0 = cfg["oracle"]["S0"]
     eta0, _ = oracle.eta_of(S0, 0.0, 0.0, params)
@@ -264,15 +276,15 @@ def _price_from_state(state, spec, params, cfg, est, scale):
         raise QasianError(f"eta0 = {eta0:.6g} lies outside the eta domain")
     eta = grid.eta_nodes(spec, params)
     x = int(np.clip(np.searchsorted(eta, eta0) - 1, 0, spec.N_eta - 2))
-    prob = np.abs(np.asarray(state.amplitudes).reshape(
-        spec.N_tau1, spec.N_eta)) ** 2
+    amps = np.asarray(state.amplitudes).reshape(spec.N_tau1, spec.N_eta)
 
     def slice_abs(t):
         if t < 0:  # the tau1 = 0 slice is the payoff itself
             return grid.psi0(params, eta[x:x + 2],
                              kink_shift=cfg["kink_shift"])
+        cells = np.abs(amps[t:t + 1, x:x + 2]) ** 2
         return np.array([math.sqrt(scale * extraction.estimate_rectangle(
-            prob, t, t, c, c, est)[0]) for c in (x, x + 1)])
+            cells, 0, 0, c, c, est)[0]) for c in (0, 1)])
 
     N_t = spec.N_tau1
     psi_T = sum(g * slice_abs(t)
@@ -401,6 +413,7 @@ def run_build(cfg):
     out = _outdir(cfg)
     params = _market(cfg)
     spec = _spec(cfg, params)
+    inversion.check_dim_cap(spec)
     ops = grid.build_operators(spec, params, kink_shift=cfg["kink_shift"])
     # C_tau1 is exported closed, as the system uses it; the central part
     # alone is the `dump-encoding ctau1` block

@@ -67,6 +67,9 @@ class AmplitudeEstimator:
     def __post_init__(self):
         if self.mode not in AE_MODES:
             raise ValidationError(f"unknown estimator mode {self.mode!r}")
+        if not self.eps_prime >= 0:
+            raise ValidationError(f"need eps_prime >= 0, got "
+                                  f"{self.eps_prime!r}")
         self._rng = np.random.default_rng(self.seed)
 
     def estimate_sqrt(self, q):
@@ -143,14 +146,63 @@ def estimate_window_integral(state, x_i, x_f, est, plan=None):
     return total / N, err / N
 
 
+def _dyadic_cover(lo, b):
+    """The aligned blocks (c, j) = [j 2^c, (j+1) 2^c) that tile
+    [lo, lo + 2^b), left to right: one block when 2^b divides lo."""
+    hi = lo + (1 << b)
+    while lo < hi:
+        c = min(b, (lo & -lo).bit_length() - 1) if lo else b
+        while lo + (1 << c) > hi:
+            c -= 1
+        yield c, lo >> c
+        lo += 1 << c
+
+
+class _SegmentSums:
+    """Block sums of a (2^n_t, 2^n_x) probability table over given time
+    segments.
+
+    One row sum over eta's full width per distinct time segment (w, m),
+    then a dyadic pyramid of those rows along eta: level c holds the sums
+    of the aligned blocks [j 2^c, (j+1) 2^c).  An eta segment starting at
+    a multiple of its size is one pyramid entry, any other the sum of its
+    _dyadic_cover.  Every sum adds non-negative cells, so a small block
+    keeps its relative accuracy, which differences of prefix sums would
+    not.
+    """
+
+    def __init__(self, prob, t_segments):
+        n_t, self.n_x = (N.bit_length() - 1 for N in prob.shape)
+        self.rows = {}
+        for seg in t_segments:
+            self.rows.setdefault(seg, len(self.rows))
+        level = np.empty((len(self.rows), prob.shape[1]))
+        for (w, m), i in self.rows.items():
+            np.sum(prob[w:w + 2 ** (n_t - m)], axis=0, out=level[i])
+        self.levels = [level]
+        while level.shape[1] > 1:
+            level = level[:, 0::2] + level[:, 1::2]
+            self.levels.append(level)
+
+    def block_probs(self, plan_t, plan_x):
+        """The rectangle's block probabilities, one per segment pair, time
+        segments outer."""
+        covers = [tuple(_dyadic_cover(wx, self.n_x - mx))
+                  for wx, mx in plan_x.segments]
+        for seg in plan_t.segments:
+            row = self.rows[seg]
+            for cover in covers:
+                yield float(sum(self.levels[c][row, j] for c, j in cover))
+
+
 def estimate_rectangle(prob, t_lo, t_hi, x_lo, x_hi, est):
     """Raw probability sum over a (time, eta) index rectangle.
 
-    prob is the (2^n_t, 2^n_x) table of squared amplitudes, squared once
-    by the caller for all its rectangles; n_t and n_x come from its
-    shape.  Composes the two registers' segmentation plans: every pair
-    of segments shifts both registers and measures all-zeros on both top
-    blocks jointly, one amplitude estimation per pair.
+    prob is the (2^n_t, 2^n_x) table of squared amplitudes; n_t and n_x
+    come from its shape.  Composes the two registers' segmentation plans:
+    every pair of segments shifts both registers and measures all-zeros
+    on both top blocks jointly, one amplitude estimation per pair.  The
+    block probabilities are read from a _SegmentSums of the table.
     """
     prob = np.asarray(prob)
     if prob.ndim != 2 or any(N < 1 or N & (N - 1) for N in prob.shape):
@@ -159,9 +211,8 @@ def estimate_rectangle(prob, t_lo, t_hi, x_lo, x_hi, est):
     n_t, n_x = (N.bit_length() - 1 for N in prob.shape)
     plan_t = plan_segments(t_lo, t_hi, n_t)
     plan_x = plan_segments(x_lo, x_hi, n_x)
-    blocks = (prob[wt:wt + 2 ** (n_t - mt), wx:wx + 2 ** (n_x - mx)]
-              for wt, mt in plan_t.segments for wx, mx in plan_x.segments)
-    return _estimate_blocks((float(np.sum(b)) for b in blocks), est)
+    table = _SegmentSums(prob, plan_t.segments)
+    return _estimate_blocks(table.block_probs(plan_t, plan_x), est)
 
 
 def mock_cheb_nodes(M, N, lo, hi):
@@ -389,11 +440,14 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
     """Recover the psi surface from a solution statevector.
 
     cfg: mapping with M_eta, M_tau1 and optionally eta_max (default 1).
-    The time window starts at spec.Delta (time_window).  `scale` is the
-    factor (N_b times the squared solution norm) relating squared state
-    amplitudes to psi^2.  If a fitted density at the node grid is <= 0,
-    every density the interpolant returns is lifted by the node grid's
-    positive_shift, at least err_bound, before the square root.
+    The time window starts at spec.Delta (time_window).  The M_tau1 *
+    M_eta prefix rectangles read their block probabilities from one
+    _SegmentSums of the squared state, which sums each distinct time
+    segment of their plans once.  `scale` is the factor (N_b times the
+    squared solution norm) relating squared state amplitudes to psi^2.
+    If a fitted density at the node grid is <= 0, every density the
+    interpolant returns is lifted by the node grid's positive_shift, at
+    least err_bound, before the square root.
     """
     amps = np.asarray(getattr(state, "amplitudes", state))
     if amps.size != spec.dim:
@@ -406,13 +460,18 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
     nidx_t, s_t = mock_cheb_nodes(M_t, Nt_win, t_lo, N_t - 1)
     nidx_x, s_x = mock_cheb_nodes(M_x, N_x, 0, N_x - 1)
 
+    # every eta segment of a window starting at 0 is aligned, so each
+    # block of the prefix rectangles is one entry of the table's pyramid
     prob = np.abs(amps.reshape(N_t, N_x)) ** 2
+    plans_t = [plan_segments(t_lo, int(i), spec.n_tau1) for i in nidx_t]
+    plans_x = [plan_segments(0, int(i), spec.n_eta) for i in nidx_x]
+    table = _SegmentSums(prob, (s for p in plans_t for s in p.segments))
     G = np.empty((M_t, M_x))
     err_G = 0.0
-    for k in range(M_t):
-        for l in range(M_x):
-            G[k, l], e = estimate_rectangle(
-                prob, t_lo, int(nidx_t[k]), 0, int(nidx_x[l]), est)
+    for k, plan_t in enumerate(plans_t):
+        for l, plan_x in enumerate(plans_x):
+            G[k, l], e = _estimate_blocks(
+                table.block_probs(plan_t, plan_x), est)
             err_G = max(err_G, e)
 
     # tensor fit a = Vt^-1 G Vx^-T in the u basis, then fold the basis

@@ -189,6 +189,19 @@ def fast_invert_exact(kind, spec, params):
     raise ValidationError("kind must be 'A1' or 'A2'")
 
 
+def check_dim_cap(spec):
+    """Raise DimensionCapError if spec's dim or N_eta^2 (the entries of
+    each dense spatial operator) exceeds DIM_CAP; called before any
+    operator is built."""
+    if spec.dim > DIM_CAP:
+        raise DimensionCapError(
+            f"dimension {spec.dim} exceeds cap {DIM_CAP}")
+    if spec.N_eta ** 2 > DIM_CAP:
+        raise DimensionCapError(
+            f"N_eta^2 = {spec.N_eta ** 2} (the entries of each dense "
+            f"spatial operator) exceeds cap {DIM_CAP}")
+
+
 class SpaceTimeSystem:
     """The preconditioned space-time system of one grid, matrix-free.
 
@@ -253,13 +266,7 @@ class SpaceTimeSystem:
     """
 
     def __init__(self, spec, params, kink_shift=0.0):
-        if spec.dim > DIM_CAP:
-            raise DimensionCapError(
-                f"dimension {spec.dim} exceeds cap {DIM_CAP}")
-        if spec.N_eta ** 2 > DIM_CAP:
-            raise DimensionCapError(
-                f"N_eta^2 = {spec.N_eta ** 2} (the entries of each dense "
-                f"spatial operator) exceeds cap {DIM_CAP}")
+        check_dim_cap(spec)
         ops = grid_mod.build_operators(spec, params, kink_shift=kink_shift)
         self.spec = spec
         self.norm_b = ops.norm_b

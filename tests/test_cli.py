@@ -222,6 +222,52 @@ class TestExitCodes:
         assert code == 3
         assert "N_eta^2 = 16777216" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config,key", [
+        ({"params": {"sigma": 1.0}, "n_eta": 8}, "dimension 524288"),
+        ({"params": {"sigma": 0.002}, "n_eta": 12}, "N_eta^2 = 16777216"),
+    ], ids=["dim", "spatial"])
+    def test_build_dimension_cap(self, tmp_path, capsys, monkeypatch,
+                                 config, key):
+        # `build` holds its dense operators to the same caps as the
+        # solver, before any operator is built
+        def no_build(*args, **kwargs):
+            raise AssertionError("operators built past the dimension cap")
+        monkeypatch.setattr(grid, "build_operators", no_build)
+        assert run_config(tmp_path, config, "build") == 3
+        err = capsys.readouterr().err
+        assert key in err and "exceeds cap" in err
+        assert not (tmp_path / "out" / "C_eta1.csv").exists()
+
+    @pytest.mark.parametrize("config,command,key", [
+        ({"extraction": {"ae_eps": -0.5}}, "price", "extraction.ae_eps"),
+        ({"extraction": {"ae_eps": -0.5, "ae_mode": "stochastic"}}, "price",
+         "extraction.ae_eps"),
+        ({"extraction": {"seed": -1}}, "price", "extraction.seed"),
+        ({"oracle": {"seed": -1}}, "compare", "oracle.seed"),
+        ({"oracle": {"n_steps": 0}}, "compare", "oracle.n_steps"),
+        ({"oracle": {"n_steps": -3}}, "compare", "oracle.n_steps"),
+        ({"oracle": {"n_paths": 999}}, "compare", "oracle.n_paths"),
+    ], ids=["negative-ae-eps", "negative-ae-eps-stochastic",
+            "negative-extraction-seed", "negative-oracle-seed",
+            "zero-steps", "negative-steps", "too-few-paths"])
+    def test_out_of_range(self, tmp_path, capsys, monkeypatch, config,
+                          command, key):
+        # a value outside its key's range ends on exit 2 naming the key,
+        # before the system is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("system solved for an out-of-range input")
+        monkeypatch.setattr(inversion, "solve_pricing_system", no_solve)
+        assert run_config(tmp_path, config, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and key in err
+
+    def test_range_minimum_accepted(self):
+        # each key's least value passes the check
+        cfg = cli.load_config(overrides={
+            "extraction": {"ae_eps": 0.0, "seed": 0},
+            "oracle": {"seed": 0, "n_steps": 1, "n_paths": 1000}})
+        assert cfg["oracle"]["n_paths"] == 1000
+
     def test_norm_step_bound(self, tmp_path, capsys, monkeypatch):
         # a condition report that does not converge within its step bound
         # ends on exit 3 with one line naming the error

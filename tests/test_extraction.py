@@ -16,6 +16,13 @@ def random_state(n, seed):
     return qa.StateVector(amps / np.linalg.norm(amps))
 
 
+class TestEstimator:
+    @pytest.mark.parametrize("eps", [-0.5, -1e-300, float("nan")])
+    def test_rejects_negative_error(self, eps):
+        with pytest.raises(ValidationError):
+            qa.AmplitudeEstimator(mode="exact", eps_prime=eps)
+
+
 class TestPlanSegments:
     def test_example_3_to_9(self):
         plan = qa.plan_segments(3, 9, 4)
@@ -137,6 +144,125 @@ class TestRectangle:
         with pytest.raises(ValidationError):
             qa.estimate_rectangle(np.full(shape, 1.0 / 16), 0, 0, 0, 0,
                                   qa.AmplitudeEstimator(mode="exact"))
+
+
+class RecordingEstimator(qa.AmplitudeEstimator):
+    """An estimator that keeps every probability it is asked about."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.seen = []
+
+    def estimate_sqrt(self, q):
+        self.seen.append(q)
+        return super().estimate_sqrt(q)
+
+
+def per_block_reference(prob, t_lo, nidx_t, nidx_x, est):
+    """G by one np.sum per segment pair of each prefix rectangle
+    [t_lo, t_k] x [0, x_l], through the same per-block estimator loop."""
+    n_t, n_x = (N.bit_length() - 1 for N in prob.shape)
+    G = np.empty((len(nidx_t), len(nidx_x)))
+    for k, t_hi in enumerate(nidx_t):
+        for l, x_hi in enumerate(nidx_x):
+            probs = [float(np.sum(prob[wt:wt + 2 ** (n_t - mt),
+                                       wx:wx + 2 ** (n_x - mx)]))
+                     for wt, mt in qa.plan_segments(t_lo, t_hi, n_t).segments
+                     for wx, mx in qa.plan_segments(0, x_hi, n_x).segments]
+            G[k, l] = ex._estimate_blocks(probs, est)[0]
+    return G
+
+
+class TestSegmentTable:
+    """extract_psi_2d's shared table of segment sums against one np.sum
+    per block."""
+
+    MARKET = qa.MarketParams(sigma=1.0, r=0.0, q=0.0, T=1.0, K=1.0,
+                             eta_max=1.0)
+
+    def _run(self, amps, n_t, n_x, Delta, M_t, M_x, mode, eps=0.0):
+        spec = qa.grid_spec_direct(self.MARKET, n_x, n_t, Delta=Delta)
+        new = RecordingEstimator(mode=mode, eps_prime=eps, seed=4)
+        ref = RecordingEstimator(mode=mode, eps_prime=eps, seed=4)
+        with warnings.catch_warnings(record=True) as w_new:
+            warnings.simplefilter("always")
+            res = qa.extract_psi_2d(amps, spec, {"M_eta": M_x,
+                                                 "M_tau1": M_t}, new)
+        it, ix = res.interpolant.nodes_t[0], res.interpolant.nodes_x[0]
+        prob = np.abs(amps.reshape(spec.N_tau1, spec.N_eta)) ** 2
+        with warnings.catch_warnings(record=True) as w_ref:
+            warnings.simplefilter("always")
+            G = per_block_reference(prob, res.interpolant.t_lo, it, ix, ref)
+        return res, new, ref, G, w_new, w_ref
+
+    @staticmethod
+    def _same_sequence(new, ref):
+        assert new.calls == ref.calls == len(ref.seen)
+        a, b = np.array(new.seen), np.array(ref.seen)
+        assert np.all(np.abs(a - b) <= 1e-15 * b)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n_t,n_x,Delta,M_t,M_x", [
+        (5, 5, 0.0, 5, 6),
+        (5, 4, 0.3, 4, 5),      # t_lo > 0
+        (1, 5, 0.0, 2, 6),      # N_tau1 = 2
+        (4, 5, 0.25, 1, 6),     # M = 1 on the time axis
+        (5, 4, 0.0, 6, 1),      # M = 1 on the eta axis
+    ], ids=["square", "delta", "two-slices", "one-time-node",
+            "one-eta-node"])
+    def test_exact_matches_per_block_sums(self, dtype, n_t, n_x, Delta, M_t,
+                                          M_x):
+        rng = np.random.default_rng(n_t * 10 + n_x)
+        amps = rng.normal(size=2 ** (n_t + n_x))
+        if dtype is complex:
+            amps = amps + 1j * rng.normal(size=amps.size)
+        amps /= np.linalg.norm(amps)
+        res, new, ref, G, _, _ = self._run(amps, n_t, n_x, Delta, M_t, M_x,
+                                           "exact")
+        if Delta > 0:
+            assert res.interpolant.t_lo > 0
+        self._same_sequence(new, ref)
+        assert np.all(np.abs(res.raw_integrals - G) <= 1e-15 * G)
+
+    @pytest.mark.parametrize("mode", ["stochastic", "adversarial"])
+    def test_noisy_modes_match_per_block_sums(self, mode):
+        # a state that vanishes on the first eta columns and the first
+        # time rows, so that some blocks fall below eps'^2 and warn
+        rng = np.random.default_rng(8)
+        amps = rng.normal(size=(32, 32))
+        amps[:5] = 0.0
+        amps[:, :9] = 0.0
+        amps = (amps / np.linalg.norm(amps)).reshape(-1)
+        res, new, ref, G, w_new, w_ref = self._run(amps, 5, 5, 0.0, 6, 6,
+                                                   mode, eps=1e-3)
+        self._same_sequence(new, ref)
+        assert np.all(np.abs(res.raw_integrals - G) <= 1e-15 * G)
+        assert w_ref and all(w.category is NoiseDominationWarning
+                             for w in w_ref)
+        assert [str(w.message) for w in w_new] == \
+            [str(w.message) for w in w_ref]
+
+    def test_readout_call_count(self):
+        # the benchmark's 2^10 x 2^10 planted readout at M = 8 takes 1764
+        # amplitude estimations
+        s = -1.0 + (2.0 * np.arange(2 ** 10) + 1.0) / 2 ** 10
+        P = 1.2 + 0.5 * s + 0.3 * s ** 2 - 0.2 * s ** 3
+        Q = 1.0 - 0.4 * s + 0.25 * s ** 2 + 0.1 * s ** 3
+        surf = np.outer(P, Q)
+        spec = qa.grid_spec_direct(self.MARKET, 10, 10, Delta=0.0)
+        est = qa.AmplitudeEstimator(mode="exact")
+        res = qa.extract_psi_2d((surf / np.linalg.norm(surf)).reshape(-1),
+                                spec, {"M_eta": 8, "M_tau1": 8}, est)
+        assert res.ae_calls == est.calls == 1764
+
+    @pytest.mark.parametrize("b", range(5))
+    def test_dyadic_cover_tiles_the_block(self, b):
+        for lo in range(40):
+            cover = list(ex._dyadic_cover(lo, b))
+            cells = [i for c, j in cover
+                     for i in range(j << c, (j + 1) << c)]
+            assert cells == list(range(lo, lo + 2 ** b))
+            assert (len(cover) == 1) == (lo % 2 ** b == 0)
 
 
 class TestPsiSqLattice:
