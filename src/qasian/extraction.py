@@ -19,6 +19,7 @@ import warnings
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
+from scipy.linalg.blas import dgemm
 
 from .errors import (IllConditionedError, NodeCollisionError,
                      NoiseDominationWarning, ValidationError, QasianError)
@@ -38,13 +39,6 @@ AE_MODES = ("exact", "stochastic", "adversarial")
 
 #: Largest condition number a Chebyshev-Vandermonde fit may have.
 KAPPA_CEILING = 1e8
-
-#: Points per chebgrid2d call when Interpolant2D.psi_sq evaluates a tensor
-#: lattice.  On a 2-core x86 VM, a 2^10 x 2^10 lattice at M = 8 took
-#: 46-50 ms in one call and 29-34 ms in blocks of 2^16 points (2^14 and
-#: 2^18 were no faster), with 16 MB less peak RSS.
-LATTICE_BLOCK = 2 ** 16
-
 
 @dataclass
 class AmplitudeEstimator:
@@ -160,35 +154,49 @@ def _dyadic_cover(lo, b):
 
 class _SegmentSums:
     """Block sums of a (2^n_t, 2^n_x) probability table over given time
-    segments.
+    and eta segments.
 
-    One row sum over eta's full width per distinct time segment (w, m),
-    then a dyadic pyramid of those rows along eta: level c holds the sums
-    of the aligned blocks [j 2^c, (j+1) 2^c).  An eta segment starting at
-    a multiple of its size is one pyramid entry, any other the sum of its
-    _dyadic_cover.  Every sum adds non-negative cells, so a small block
-    keeps its relative accuracy, which differences of prefix sums would
-    not.
+    Each eta segment is tiled by its _dyadic_cover; the largest block of
+    the covers has 2^top columns.  The table is read only over the span
+    [lo, hi) of those blocks, widened to multiples of 2^top columns (and
+    of two).  One row sum over that span per distinct time segment
+    (w, m), then a dyadic pyramid of those rows along eta up to level
+    top: level c holds the sums of the aligned blocks [j 2^c, (j+1) 2^c).
+    An entry adds the same cells in the same order whatever the span, so
+    its value is the one a full-width table gives.  Every sum adds
+    non-negative cells, so a small block keeps its relative accuracy,
+    which differences of prefix sums would not.
     """
 
-    def __init__(self, prob, t_segments):
-        n_t, self.n_x = (N.bit_length() - 1 for N in prob.shape)
+    def __init__(self, prob, t_segments, x_segments):
+        n_t, n_x = (N.bit_length() - 1 for N in prob.shape)
+        covers = {(w, m): tuple(_dyadic_cover(w, n_x - m))
+                  for w, m in x_segments}
+        top = max(c for cover in covers.values() for c, _ in cover)
+        # a span of at least two columns: over one, np.add.reduce would
+        # add the rows pairwise, not in row order as over the full width
+        b = max(top, min(n_x, 1))
+        lo = min(w for w, _ in covers) >> b << b
+        hi = -(-max(w + 2 ** (n_x - m) for w, m in covers) >> b) << b
+        # each cover block as (level c, its index in level c of the span)
+        self.covers = {seg: tuple((c, j - (lo >> c)) for c, j in cover)
+                       for seg, cover in covers.items()}
         self.rows = {}
         for seg in t_segments:
             self.rows.setdefault(seg, len(self.rows))
-        level = np.empty((len(self.rows), prob.shape[1]))
+        level = np.empty((len(self.rows), hi - lo))
         for (w, m), i in self.rows.items():
-            np.sum(prob[w:w + 2 ** (n_t - m)], axis=0, out=level[i])
+            np.add.reduce(prob[w:w + 2 ** (n_t - m), lo:hi], axis=0,
+                          out=level[i])
         self.levels = [level]
-        while level.shape[1] > 1:
+        for _ in range(top):
             level = level[:, 0::2] + level[:, 1::2]
             self.levels.append(level)
 
     def block_probs(self, plan_t, plan_x):
         """The rectangle's block probabilities, one per segment pair, time
         segments outer."""
-        covers = [tuple(_dyadic_cover(wx, self.n_x - mx))
-                  for wx, mx in plan_x.segments]
+        covers = [self.covers[seg] for seg in plan_x.segments]
         for seg in plan_t.segments:
             row = self.rows[seg]
             for cover in covers:
@@ -202,7 +210,8 @@ def estimate_rectangle(prob, t_lo, t_hi, x_lo, x_hi, est):
     come from its shape.  Composes the two registers' segmentation plans:
     every pair of segments shifts both registers and measures all-zeros
     on both top blocks jointly, one amplitude estimation per pair.  The
-    block probabilities are read from a _SegmentSums of the table.
+    block probabilities are read from a _SegmentSums of the table over
+    the columns the rectangle's eta segments cover.
     """
     prob = np.asarray(prob)
     if prob.ndim != 2 or any(N < 1 or N & (N - 1) for N in prob.shape):
@@ -211,7 +220,7 @@ def estimate_rectangle(prob, t_lo, t_hi, x_lo, x_hi, est):
     n_t, n_x = (N.bit_length() - 1 for N in prob.shape)
     plan_t = plan_segments(t_lo, t_hi, n_t)
     plan_x = plan_segments(x_lo, x_hi, n_x)
-    table = _SegmentSums(prob, plan_t.segments)
+    table = _SegmentSums(prob, plan_t.segments, plan_x.segments)
     return _estimate_blocks(table.block_probs(plan_t, plan_x), est)
 
 
@@ -356,24 +365,22 @@ class Interpolant2D:
         # O(h) bias, leaving the O(h^2) midpoint error).
         #
         # A tensor lattice (s_t constant along axis 1, s_x along axis 0)
-        # is evaluated from its two axis vectors: the same Clenshaw
-        # recurrence per point, without (M, N_t, N_x) temporaries.  It
-        # goes LATTICE_BLOCK points at a time, so that the recurrence's
-        # temporaries stay small instead of lattice-sized.
+        # is Vt C Vx^T with Vt, Vx the Chebyshev-Vandermonde matrices of
+        # its two axis vectors: two dgemm calls, the second writing the
+        # one lattice-sized array (N_x, N_t) in Fortran order, so that its
+        # transpose is C-contiguous.
         st, sx = np.broadcast_arrays(np.asarray(s_t, dtype=float),
                                      np.asarray(s_x, dtype=float))
         if st.ndim == 2 and st.size and np.all(st == st[:, :1]) \
                 and np.all(sx == sx[:1, :]):
-            t = st[:, 0] - 1.0 / self.Nt_win
-            x = sx[0] - 1.0 / self.N_x
-            dens = np.empty(st.shape)
-            rows = max(1, LATTICE_BLOCK // x.size)
-            for lo in range(0, t.size, rows):
-                dens[lo:lo + rows] = C.chebgrid2d(t[lo:lo + rows], x,
-                                                  self.density_coeffs)
-        else:
-            dens = C.chebval2d(st - 1.0 / self.Nt_win, sx - 1.0 / self.N_x,
-                               self.density_coeffs)
+            M_t, M_x = self.density_coeffs.shape
+            pref = self.scale * 4.0 / (self.Nt_win * self.N_x)
+            vt_c = dgemm(1.0, C.chebvander(st[:, 0] - 1.0 / self.Nt_win,
+                                           M_t - 1), self.density_coeffs)
+            return dgemm(pref, C.chebvander(sx[0] - 1.0 / self.N_x, M_x - 1),
+                         vt_c, trans_b=1).T
+        dens = C.chebval2d(st - 1.0 / self.Nt_win, sx - 1.0 / self.N_x,
+                           self.density_coeffs)
         return self.scale * dens * 4.0 / (self.Nt_win * self.N_x)
 
     def psi(self, tau1, eta):
@@ -465,7 +472,8 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
     prob = np.abs(amps.reshape(N_t, N_x)) ** 2
     plans_t = [plan_segments(t_lo, int(i), spec.n_tau1) for i in nidx_t]
     plans_x = [plan_segments(0, int(i), spec.n_eta) for i in nidx_x]
-    table = _SegmentSums(prob, (s for p in plans_t for s in p.segments))
+    table = _SegmentSums(prob, (s for p in plans_t for s in p.segments),
+                         (s for p in plans_x for s in p.segments))
     G = np.empty((M_t, M_x))
     err_G = 0.0
     for k, plan_t in enumerate(plans_t):
