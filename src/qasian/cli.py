@@ -106,12 +106,15 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 MINIMUM = {"extraction.ae_eps": 0, "extraction.seed": 0, "oracle.seed": 0,
            "oracle.n_steps": 1, "oracle.n_paths": 1000}
 
+#: Values each enumerated str leaf accepts.
+CHOICES = {"extraction.ae_mode": extraction.AE_MODES}
+
 
 def _check_config(cfg, default, prefix=""):
     """Reject unknown keys at every level of cfg, values of the wrong
     type (an int leaf takes integers, a float leaf finite reals, integers
-    included, a str leaf strings, and a NULLABLE leaf None as well) and
-    values below their MINIMUM."""
+    included, a str leaf strings, and a NULLABLE leaf None as well),
+    values below their MINIMUM and values outside their CHOICES."""
     for key, value in cfg.items():
         name = prefix + key
         if key not in default:
@@ -130,6 +133,10 @@ def _check_config(cfg, default, prefix=""):
         if name in MINIMUM and value < MINIMUM[name]:
             raise ValidationError(f"config {name} must be >= "
                                   f"{MINIMUM[name]}, got {value!r}")
+        if name in CHOICES and value not in CHOICES[name]:
+            raise ValidationError(f"config {name} must be one of "
+                                  f"{', '.join(CHOICES[name])}, "
+                                  f"got {value!r}")
 
 
 def _is_kind(value, kind):
@@ -145,7 +152,7 @@ def _market(cfg):
 
 
 def _spec(cfg, params):
-    if cfg.get("n_tau1"):
+    if cfg["n_tau1"] is not None:
         # grid_spec_direct accepts a diffusion-free sigma = 0 grid; a
         # pricing run needs sigma > 0, as make_grid demands below
         if not params.sigma > 0:
@@ -169,7 +176,7 @@ def _extraction_cfg(cfg, spec, params):
     e = cfg["extraction"]
     Nt_win = extraction.time_window(spec)[1]
     M_tau1 = e["M_tau1"]
-    if not cfg.get("n_tau1"):
+    if cfg["n_tau1"] is None:
         M_tau1 = min(M_tau1, Nt_win)
     for key, M, N in (("M_eta", e["M_eta"], spec.N_eta),
                       ("M_tau1", M_tau1, Nt_win)):
@@ -455,7 +462,8 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("build", help="build and export the discrete operators")
     sub.add_parser("solve", help="precondition and solve")
-    sub.add_parser("extract", help="solve and extract the psi surface")
+    sub.add_parser("extract", help="the same pipeline as price: solve, "
+                   "extract the psi surface and quote the price")
     sub.add_parser("price", help="full pipeline ending in a price quote")
     sub.add_parser("compare", help="pipeline price vs Monte-Carlo")
     conv = sub.add_parser("converge", help="refinement study")

@@ -22,9 +22,8 @@ import math
 import numpy as np
 from scipy.linalg import schur
 from scipy.linalg.blas import dgemm, dnrm2
-from scipy.linalg.lapack import (dgbtrf, dgbtrs, dgetrf, dgetrs, dgttrf,
-                                 dgttrs, dstebz, dstein, zgetrf, zgetrs,
-                                 zgttrf, zgttrs)
+from scipy.linalg.lapack import (dgetrf, dgetrs, dgttrf, dgttrs, dstebz,
+                                 dstein, zgetrf, zgetrs, zgttrf, zgttrs)
 from scipy.sparse.linalg import LinearOperator
 
 from .errors import (AliasingError, DimensionCapError, NormConvergenceError,
@@ -43,22 +42,6 @@ DIM_CAP = 2 ** 17
 
 #: Smallest eigenvalue magnitude fast_invert_exact reciprocates.
 EIGEN_FLOOR = 1e-30
-
-#: Largest dimension whose Schur-transformed system is solved as one
-#: banded matrix rather than block by block.  Per solve, the whole band
-#: does arithmetic growing as dim * N_eta, and the blocks add a fixed
-#: call cost per block, about N_eta of them, on tridiagonal solves of
-#: O(dim) arithmetic in all: the crossing is set by dim.  On a shared
-#: 2-core x86 VM (solve_pricing_system with its report, medians of 7
-#: calls, 5 alternating rounds) the whole band was faster at dim 512 in
-#: 18 of 20 rounds (32 x 16: 11-12 ms against 14-16 ms by blocks; 16 x 32,
-#: 8 x 64, 64 x 16) and at dim 1024 in 14 of 20 (32 x 32: 21-34 against
-#: 25-35 ms; 64 x 16, 16 x 64, 8 x 128), and slower at dim 2048 in 13 of
-#: 15 (64 x 32: 38-46 against 28-29 ms; 32 x 64, 16 x 128).  Only dim
-#: selects the whole band, whose (5 N_eta + 1) * dim entries grow as
-#: N_eta^2 at a fixed N_tau1: an N_tau1 = 2 grid with many columns
-#: (make_grid at low volatility) takes the blocks like any other.
-BANDED_SYSTEM_DIM = 2 ** 10
 
 #: Most Golub-Kahan-Lanczos steps _norm2 takes before it raises
 #: NormConvergenceError.  Measured need up to DIM_CAP: at most 43 steps
@@ -218,51 +201,46 @@ class SpaceTimeSystem:
     brought to real Schur form: V is orthogonal and T quasi-upper-
     triangular, with a 1 x 1 diagonal block per real eigenvalue of L and a
     2 x 2 block per complex pair.  With Z = X V and F = C V the equation
-    becomes Ct Z + Z T = F, and its column blocks solve in order: block J
-    takes Ct Z_J + Z_J T_JJ = F_J - Z[:, :J] T[:J, J].  Each block is one
-    tridiagonal system of N_tau1 unknowns (_block_solver): one row
+    becomes S Z = Ct Z + Z T = F, and its column blocks solve in order:
+    block J takes Ct Z_J + Z_J T_JJ = F_J - Z[:, :J] T[:J, J].  Each block
+    is one tridiagonal system of N_tau1 unknowns (_block_solver): one row
     operation clears the closure row's entry below the subdiagonal, a
     1 x 1 block is the real shifted system Ct + T_jj I, and a 2 x 2 block
     is one complex shifted system Ct + (a + i w) I (at N_tau1 = 2, a
-    2 x 2 dense one).  M^T X = C runs the
-    blocks backwards through the same factors, transposed.  Ct is not
-    normal (its closure row), which this route does not need.  The sweep
-    runs in one (N_tau1, N_eta) workspace, into which F = C V is
-    multiplied, with every view of it taken when the factors are built,
-    so a solve allocates nothing per block.  The factors grow as
+    2 x 2 dense one).  S^T Z = F runs the blocks backwards through the
+    same factors, transposed.  Ct is not normal (its closure row), which
+    this route does not need.  The sweep runs in one (N_tau1, N_eta)
+    workspace, into which F is multiplied, with every view of it taken
+    when the factors are built, so a solve allocates nothing per block.
+    This one sweep serves every dim: its cost is O(dim) per block on top
+    of a fixed call cost, and the factors grow as
     N_eta^2 + N_eta*N_tau1 + dim; both dim and N_eta^2 are held to
     DIM_CAP.
-
-    Up to dim BANDED_SYSTEM_DIM the block loop costs more in calls than
-    in arithmetic, so all N_eta columns are solved at once
-    (_band_solver): Ct (x) I + I (x) T^T in time-major order, bandwidths
-    (2 N_eta, N_eta) because T^T reaches only one diagonal above the main
-    one, factored once (dgbtrf) and stored in (5 N_eta + 1) * dim
-    entries.
 
     The split of the dense reference assembly follows from M without
     forming it: A + B = (I (x) A1^-1) M, A = I (x) A2, B = (A + B) - A and
     W = I + A^-1 B = (I (x) A2^-1) (A + B).  They are kept as real
     LinearOperators (`AB`, `AB_inv`, `B`, `W`, `W_inv`); a complex vector
-    is applied as its real and imaginary parts.  `report` takes their
-    largest singular values by Golub-Kahan-Lanczos bidiagonalisation
-    (_norm2), in at most NORM_STEPS steps each.  The two inverse norms
-    are taken in Schur coordinates: right-multiplying by the orthogonal
-    V leaves a norm unchanged and turns (A + B)^-1 into Y -> S^-1 (Y G_1)
-    and W^-1 into Y -> S^-1 (Y G_W), with S Z = Ct Z + Z T,
-    G_1 = V^T diag(A1) V and G_W = V^T C_eta1^T V formed once
-    (`AB_inv_schur`, `W_inv_schur`; adjoints Y -> S^-T (Y) G^T).  A
-    product is then one dgemm and one sweep, not the three dgemms and
-    the scaling of the physical route: 0.24-0.42 ms against 0.40-0.72 ms
-    at 128 x 64, and 2.3-3.0 ms against 3.0-4.8 ms at 512 x 128 (shared
-    2-core x86 VM, 2 BLAS threads).  Both runs start from _norm2's
-    default vector mapped by V, the image of the physical runs' start, so
-    they take the same number of steps as the physical runs would.
-    `solve` keeps the physical W^-1.  The operators close
-    over the factors, never over the system, so that a system
-    holds no reference to itself and is freed as soon as its caller drops
-    it.  The object stands for W x = rhs_pre: `system @ x` is W x and
-    `system.solve(r)` is W^-1 r.
+    is applied as its real and imaginary parts.  With
+    M^-1 X = S^-1 (X V) V^T, (A + B)^-1 = M^-1 (I (x) A1) is one map of
+    _inverse, X -> S^-1 (X G_in) G_out^T with G_in = A1 V and G_out = V:
+    one dgemm into the sweep and one out of it.  W^-1 is
+    (A + B)^-1 (I (x) A2), A2 applied on its own first: folded into one
+    G_in = C_eta1^T V = A2^T A1 V, it leaves the pricing solve's residual
+    W x - rhs_pre 8 to 43 times larger (sigma = 1, n_eta 6 to 8).
+    `report` takes the operators' largest singular values by
+    Golub-Kahan-Lanczos bidiagonalisation (_norm2), in at most NORM_STEPS
+    steps each.  The two inverse norms are taken in Schur coordinates,
+    Y = X V: an orthogonal V changes no norm, and M^-1 (I (x) P) is then
+    Y -> S^-1 (Y G), G = V^T P^T V formed once for P = A1 and for
+    P = A1 A2 = C_eta1, the same _inverse with no output product
+    (`AB_inv_schur`, `W_inv_schur`).  Both runs start from _norm2's
+    default vector mapped by V, the image of the physical runs' start,
+    so they take the same number of steps as the physical runs would.
+    The operators close over the factors, never over the system, so that
+    a system holds no reference to itself and is freed as soon as its
+    caller drops it.  The object stands for W x = rhs_pre: `system @ x`
+    is W x and `system.solve(r)` is W^-1 r.
     """
 
     def __init__(self, spec, params, kink_shift=0.0):
@@ -274,12 +252,8 @@ class SpaceTimeSystem:
         Ct = ops.Ct
         Lt = (ops.C_eta1 + ops.C_eta2).T
         T, V = schur(Lt, output="real")
-        if spec.dim <= BANDED_SYSTEM_DIM:
-            solve_schur = _band_solver(Ct.data, T)
-        else:
-            solve_schur = _block_solver(Ct.data, T)
+        solve_schur = _block_solver(Ct.data, T)
         Ct_adj = Ct.T
-        a1 = np.diag(ops.A1)
         a1_inv = np.diag(fast_invert_exact("A1", spec, params))
         apply_A = _blocks(ops.A2)
         apply_A2_inv = _blocks(fast_invert_exact("A2", spec, params))
@@ -295,45 +269,25 @@ class SpaceTimeSystem:
                 return Ct_adj @ X + dgemm(1.0, X, Lt, trans_b=1)
             return Ct @ X + dgemm(1.0, X, Lt)
 
-        def solve(X, adjoint):
-            """M^-1 X, or M^-T X, through Ct Z + Z T = X V."""
-            return dgemm(1.0, solve_schur(X, V, adjoint), V, trans_b=1)
-
         def ab(X, adjoint):
             """A + B = (I (x) A1^-1) M, A1 a column scaling."""
             if adjoint:
                 return apply(X * a1_inv, True)
             return apply(X, False) * a1_inv
 
-        def ab_inv(X, adjoint):
-            """(A + B)^-1 = M^-1 (I (x) A1)."""
-            if adjoint:
-                return solve(X, True) * a1
-            return solve(X * a1, False)
-
-        def schur_inverse(G):
-            """Y -> S^-1 (Y G), or Y -> S^-T (Y) G^T: M^-1 (I (x) P) in
-            Schur coordinates, for G = V^T P^T V."""
-            def on_grid(Y, adjoint):
-                if adjoint:
-                    return dgemm(1.0, solve_schur(Y, None, True), G,
-                                 trans_b=1)
-                return np.array(solve_schur(Y, G, False), order="C")
-            return on_grid
-
+        G_AB = V * np.diag(ops.A1)[:, None]  # A1 V, A1 diagonal
+        ab_inv = _inverse(solve_schur, G_AB, V)
         self.AB = _operator(shape, ab)
         self.AB_inv = _operator(shape, ab_inv)
         self.B = _operator(shape, lambda X, adjoint: (
             ab(X, adjoint) - apply_A(X, adjoint)))
         self.W = _operator(shape, _compose(apply_A2_inv, ab))
         self.W_inv = _operator(shape, _compose(ab_inv, apply_A))
-        # (A + B)^-1 = M^-1 (I (x) A1) and W^-1 = M^-1 (I (x) C_eta1), as
-        # maps of Y = X V: one dgemm and one sweep per product
         self.V = V
-        self.AB_inv_schur = _operator(shape, schur_inverse(
-            dgemm(1.0, V, V * a1[:, None], trans_a=1)))
-        self.W_inv_schur = _operator(shape, schur_inverse(
-            dgemm(1.0, V, dgemm(1.0, ops.C_eta1, V, trans_a=1), trans_a=1)))
+        self.AB_inv_schur = _operator(shape, _inverse(
+            solve_schur, dgemm(1.0, V, G_AB, trans_a=1), None))
+        self.W_inv_schur = _operator(shape, _inverse(solve_schur, dgemm(
+            1.0, V, dgemm(1.0, ops.C_eta1, V, trans_a=1), trans_a=1), None))
         self.rhs_pre = apply_A2_inv(
             ops.rhs_hat.reshape(shape) * a1_inv, False).reshape(-1)
 
@@ -388,6 +342,20 @@ def _compose(outer, inner):
                                else outer(inner(X, False), False))
 
 
+def _inverse(solve_schur, G_in, G_out):
+    """X -> S^-1 (X G_in) G_out^T as a map of grids, S Z = Ct Z + Z T the
+    Schur-transformed system of _block_solver, whose adjoint is
+    X -> S^-T (X G_out) G_in^T; G_out None is no output product."""
+    def on_grid(X, adjoint):
+        G_first, G_last = (G_out, G_in) if adjoint else (G_in, G_out)
+        Z = solve_schur(X, G_first, adjoint)
+        if G_last is None:
+            # Z is the sweep's workspace: the result is a copy of it
+            return np.array(Z, order="C")
+        return dgemm(1.0, Z, G_last, trans_b=1)
+    return on_grid
+
+
 def _blocks(mat):
     """I (x) mat as a map of grids: X -> X mat^T."""
     return lambda X, adjoint: (dgemm(1.0, X, mat) if adjoint
@@ -400,47 +368,6 @@ def _schur_blocks(T):
     n = T.shape[0]
     starts = [j for j in range(n) if j == 0 or T[j, j - 1] == 0.0]
     return list(zip(starts, starts[1:] + [n]))
-
-
-def _block_lu(band, Tb):
-    """LU factors (dgbtrf) of Ct (x) I + I (x) Tb^T in time-major order.
-
-    band is Ct in LAPACK band storage and Tb a b x b diagonal block of T.
-    Ct's diagonal s lands on diagonal s*b, so the bandwidths are
-    (TIME_KL b, TIME_KU b); Tb^T fills diagonals -1..b-1 of each b x b
-    time block (T is zero below its first subdiagonal).
-    """
-    b = Tb.shape[0]
-    kl, ku = grid_mod.TIME_KL * b, grid_mod.TIME_KU * b
-    ab = np.zeros((2 * kl + ku + 1, band.shape[1] * b))
-    # dgbtrf fills the top kl rows with U's fill-in
-    ab[kl::b] = np.repeat(band, b, axis=1)
-    for d in range(-1, b):
-        # Tb^T[k, k - d] = Tb[k - d, k] on diagonal d
-        ab[kl + ku + d] += np.tile(
-            np.pad(np.diagonal(Tb, d), (max(-d, 0), max(d, 0))),
-            band.shape[1])
-    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
-    if info != 0:
-        raise SingularFactorError(
-            "Ct and -L share an eigenvalue: the system is singular")
-    return lu, piv
-
-
-def _band_solver(band, T):
-    """(X, G, adjoint) -> Z with Ct Z + Z T = F, or Ct^T Z + Z T^T = F,
-    for F = X G (X itself if G is None), as one banded solve of all N_eta
-    columns in time-major order."""
-    b = T.shape[0]
-    kl, ku = grid_mod.TIME_KL * b, grid_mod.TIME_KU * b
-    lu, piv = _block_lu(band, T)
-
-    def solve(X, G, adjoint):
-        F = X if G is None else dgemm(1.0, X, G)
-        z = np.array(F, order="C").reshape(-1, 1)
-        dgbtrs(lu, kl, ku, z, piv, trans=int(adjoint), overwrite_b=1)
-        return z.reshape(F.shape)
-    return solve
 
 
 def _shifted_solver(diagonals, s):

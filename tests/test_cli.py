@@ -247,9 +247,15 @@ class TestExitCodes:
         ({"oracle": {"n_steps": 0}}, "compare", "oracle.n_steps"),
         ({"oracle": {"n_steps": -3}}, "compare", "oracle.n_steps"),
         ({"oracle": {"n_paths": 999}}, "compare", "oracle.n_paths"),
+        ({"extraction": {"ae_mode": "bogus"}}, "price", "extraction.ae_mode"),
+        ({"extraction": {"ae_mode": "bogus"}}, "solve", "extraction.ae_mode"),
+        ({"n_tau1": 0}, "price", "n_tau1 must be >= 1"),
+        ({"n_tau1": -3}, "price", "n_tau1 must be >= 1"),
     ], ids=["negative-ae-eps", "negative-ae-eps-stochastic",
             "negative-extraction-seed", "negative-oracle-seed",
-            "zero-steps", "negative-steps", "too-few-paths"])
+            "zero-steps", "negative-steps", "too-few-paths",
+            "unknown-ae-mode", "unknown-ae-mode-solve", "zero-n-tau1",
+            "negative-n-tau1"])
     def test_out_of_range(self, tmp_path, capsys, monkeypatch, config,
                           command, key):
         # a value outside its key's range ends on exit 2 naming the key,
