@@ -48,8 +48,8 @@ class AmplitudeEstimator:
       exact       - returns sqrt(q) (still logs cost if eps_prime > 0)
       stochastic  - sqrt(q) + uniform(-eps', +eps') noise
       adversarial - sqrt(q) + eps' (worst-case one-sided)
-    Each call logs a cost of 1/eps_prime (Heisenberg scaling of
-    amplitude estimation).
+    Each estimate counts as one call and logs a cost of 1/eps_prime
+    (Heisenberg scaling of amplitude estimation).
     """
 
     mode: str = "exact"
@@ -67,17 +67,28 @@ class AmplitudeEstimator:
         self._rng = np.random.default_rng(self.seed)
 
     def estimate_sqrt(self, q):
-        """Estimate sqrt(q) for a probability q in [0, 1]."""
-        q = min(max(float(q), 0.0), 1.0)
-        s = math.sqrt(q)
-        if self.mode == "stochastic":
-            s += self._rng.uniform(-self.eps_prime, self.eps_prime)
-        elif self.mode == "adversarial":
-            s += self.eps_prime
-        self.calls += 1
+        """Estimate sqrt(q) for a probability q in [0, 1], or for each
+        entry of a 1-D array of them, in order.
+
+        An array of k probabilities makes the k draws, calls and cost
+        that k scalar calls would, and returns the k estimates; a scalar
+        returns a float.
+        """
+        q = np.asarray(q, dtype=float)
+        s = np.sqrt(q.reshape(-1).clip(0.0, 1.0))
+        if self.mode != "exact":
+            s += (self._rng.uniform(-self.eps_prime, self.eps_prime,
+                                    size=s.size)
+                  if self.mode == "stochastic" else self.eps_prime)
+            s.clip(0.0, 1.0, out=s)
+        self.calls += s.size
         if self.eps_prime > 0:
-            self.total_cost += 1.0 / self.eps_prime
-        return min(max(s, 0.0), 1.0)
+            # one cost term per call, added in call order
+            cost, step = self.total_cost, 1.0 / self.eps_prime
+            for _ in range(s.size):
+                cost += step
+            self.total_cost = cost
+        return s if q.ndim else float(s[0])
 
 
 def plan_segments(x_i, x_f, n):
@@ -94,31 +105,46 @@ def plan_segments(x_i, x_f, n):
     count = x_f - x_i + 1
     segments = []
     shift = x_i
-    for bit in range(n, -1, -1):
-        size = 1 << bit
-        if count & size:
-            segments.append((shift, n - bit))
-            shift += size
+    rest = int(count)
+    while rest:
+        bit = rest.bit_length() - 1
+        segments.append((shift, n - bit))
+        shift += 1 << bit
+        rest ^= 1 << bit
     return SegmentationPlan(tuple(segments), count, n)
 
 
-def _estimate_blocks(probs, est):
-    """One amplitude estimation per block probability, in segment order.
+def _estimate_blocks(runs, est):
+    """One amplitude estimation per block probability, all in one
+    estimator call.
 
-    Returns (sum of squared estimates, error bound); each estimate s
-    carries its amplitude error through the squaring as 2 eps' s + eps'^2.
+    runs holds one 1-D array of block probabilities per window or
+    rectangle, in segment order; the blocks are estimated in that order,
+    run after run.  Returns (totals, errs), one float per run: the sum of
+    its squared estimates and its error bound, each estimate s carrying
+    its amplitude error through the squaring as 2 eps' s + eps'^2.  Both
+    sums add their run's terms left to right.
     """
-    total = 0.0
-    err = 0.0
-    for q in probs:
-        if est.mode != "exact" and q < est.eps_prime ** 2:
+    q = np.concatenate(runs)
+    eps = est.eps_prime
+    if est.mode != "exact":
+        for p in q[q < eps ** 2].tolist():
             warnings.warn(
-                f"segment probability {q:.3e} below eps'^2; square-root "
+                f"segment probability {p:.3e} below eps'^2; square-root "
                 "noise dominates", NoiseDominationWarning)
-        s = est.estimate_sqrt(q)
-        total += s * s
-        err += 2 * est.eps_prime * s + est.eps_prime ** 2
-    return total, err
+    s = est.estimate_sqrt(q).tolist()
+    two_eps, eps_sq = 2 * eps, eps ** 2
+    totals, errs = [], []
+    i = 0
+    for run in runs:
+        total = err = 0.0
+        for x in s[i:i + run.size]:
+            total += x * x
+            err += two_eps * x + eps_sq
+        totals.append(total)
+        errs.append(err)
+        i += run.size
+    return totals, errs
 
 
 def estimate_window_integral(state, x_i, x_f, est, plan=None):
@@ -134,22 +160,36 @@ def estimate_window_integral(state, x_i, x_f, est, plan=None):
     # the shift-by-(-w) plus top-m-qubits-zero readout selects the block
     # [w, w + 2^(n-m)); segments never wrap, so a slice is that block
     blocks = (amps[w:w + 2 ** (n - m)] for w, m in plan.segments)
-    total, err = _estimate_blocks(
-        (float(np.real(np.vdot(b, b))) for b in blocks), est)
+    (total,), (err,) = _estimate_blocks(
+        [np.array([np.real(np.vdot(b, b)) for b in blocks])], est)
     N = 2 ** n
     return total / N, err / N
 
 
 def _dyadic_cover(lo, b):
     """The aligned blocks (c, j) = [j 2^c, (j+1) 2^c) that tile
-    [lo, lo + 2^b), left to right: one block when 2^b divides lo."""
-    hi = lo + (1 << b)
-    while lo < hi:
-        c = min(b, (lo & -lo).bit_length() - 1) if lo else b
-        while lo + (1 << c) > hi:
-            c -= 1
-        yield c, lo >> c
+    [lo, lo + 2^b), left to right: one block when 2^b divides lo.
+
+    Up to the next multiple of 2^b the blocks grow, one per set bit of
+    the distance to it; past it they shrink, one per set bit of
+    lo mod 2^b.
+    """
+    rest = lo & ((1 << b) - 1)
+    if not rest:
+        return [(b, lo >> b)]
+    cover = []
+    up = (1 << b) - rest
+    while up:
+        c = (up & -up).bit_length() - 1
+        cover.append((c, lo >> c))
         lo += 1 << c
+        up &= up - 1
+    while rest:
+        c = rest.bit_length() - 1
+        cover.append((c, lo >> c))
+        lo += 1 << c
+        rest ^= 1 << c
+    return cover
 
 
 class _SegmentSums:
@@ -162,45 +202,58 @@ class _SegmentSums:
     of two).  One row sum over that span per distinct time segment
     (w, m), then a dyadic pyramid of those rows along eta up to level
     top: level c holds the sums of the aligned blocks [j 2^c, (j+1) 2^c).
-    An entry adds the same cells in the same order whatever the span, so
-    its value is the one a full-width table gives.  Every sum adds
-    non-negative cells, so a small block keeps its relative accuracy,
-    which differences of prefix sums would not.
+    The levels lie side by side in one array, followed by a column of
+    zeros.  Each cover, padded to the longest with that column, adds its
+    blocks left to right into `sums`, the block probability of every
+    (time segment, eta segment) pair.  An entry adds the same cells in
+    the same order whatever the span, so its value is the one a
+    full-width table gives.  Every sum adds non-negative cells, so a
+    small block keeps its relative accuracy, which differences of prefix
+    sums would not.
     """
 
     def __init__(self, prob, t_segments, x_segments):
-        n_t, n_x = (N.bit_length() - 1 for N in prob.shape)
-        covers = {(w, m): tuple(_dyadic_cover(w, n_x - m))
-                  for w, m in x_segments}
-        top = max(c for cover in covers.values() for c, _ in cover)
+        n_t = prob.shape[0].bit_length() - 1
+        n_x = prob.shape[1].bit_length() - 1
+        covers = {(w, m): _dyadic_cover(w, n_x - m) for w, m in x_segments}
+        top = max(max(cover)[0] for cover in covers.values())
         # a span of at least two columns: over one, np.add.reduce would
         # add the rows pairwise, not in row order as over the full width
         b = max(top, min(n_x, 1))
-        lo = min(w for w, _ in covers) >> b << b
+        lo = min(covers)[0] >> b << b
         hi = -(-max(w + 2 ** (n_x - m) for w, m in covers) >> b) << b
-        # each cover block as (level c, its index in level c of the span)
-        self.covers = {seg: tuple((c, j - (lo >> c)) for c, j in cover)
-                       for seg, cover in covers.items()}
         self.rows = {}
         for seg in t_segments:
             self.rows.setdefault(seg, len(self.rows))
-        level = np.empty((len(self.rows), hi - lo))
+        self.cols = {seg: i for i, seg in enumerate(covers)}
+        # level c takes the span's (hi - lo) >> c columns from column
+        # 2 (hi - lo) - (2 (hi - lo) >> c); the last column holds zeros
+        span = 2 * (hi - lo)
+        pyramid = np.zeros((len(self.rows), span - (span >> top + 1) + 1))
         for (w, m), i in self.rows.items():
             np.add.reduce(prob[w:w + 2 ** (n_t - m), lo:hi], axis=0,
-                          out=level[i])
-        self.levels = [level]
-        for _ in range(top):
-            level = level[:, 0::2] + level[:, 1::2]
-            self.levels.append(level)
+                          out=pyramid[i, :hi - lo])
+        for c in range(top):
+            start, end = span - (span >> c), span - (span >> c + 1)
+            np.add(pyramid[:, start:end:2], pyramid[:, start + 1:end:2],
+                   out=pyramid[:, end:span - (span >> c + 2)])
+        # each cover's blocks as pyramid columns, padded to the longest
+        # cover with the zero column, added left to right
+        length = max(map(len, covers.values()))
+        blocks = []
+        for cover in covers.values():
+            blocks += [span - (span >> c) + j - (lo >> c) for c, j in cover]
+            blocks += [-1] * (length - len(cover))
+        self.sums = pyramid.take(blocks[::length], axis=1)
+        for k in range(1, length):
+            self.sums += pyramid.take(blocks[k::length], axis=1)
 
     def block_probs(self, plan_t, plan_x):
         """The rectangle's block probabilities, one per segment pair, time
-        segments outer."""
-        covers = [self.covers[seg] for seg in plan_x.segments]
-        for seg in plan_t.segments:
-            row = self.rows[seg]
-            for cover in covers:
-                yield float(sum(self.levels[c][row, j] for c, j in cover))
+        segments outer, as one array."""
+        rows = [self.rows[seg] for seg in plan_t.segments]
+        cols = [self.cols[seg] for seg in plan_x.segments]
+        return self.sums.take(rows, axis=0).take(cols, axis=1).ravel()
 
 
 def estimate_rectangle(prob, t_lo, t_hi, x_lo, x_hi, est):
@@ -217,11 +270,12 @@ def estimate_rectangle(prob, t_lo, t_hi, x_lo, x_hi, est):
     if prob.ndim != 2 or any(N < 1 or N & (N - 1) for N in prob.shape):
         raise ValidationError(f"need a 2-D probability table with "
                               f"power-of-two sides, got shape {prob.shape}")
-    n_t, n_x = (N.bit_length() - 1 for N in prob.shape)
-    plan_t = plan_segments(t_lo, t_hi, n_t)
-    plan_x = plan_segments(x_lo, x_hi, n_x)
+    plan_t = plan_segments(t_lo, t_hi, prob.shape[0].bit_length() - 1)
+    plan_x = plan_segments(x_lo, x_hi, prob.shape[1].bit_length() - 1)
+    # the table's rows and columns are the plans' segments, in order
     table = _SegmentSums(prob, plan_t.segments, plan_x.segments)
-    return _estimate_blocks(table.block_probs(plan_t, plan_x), est)
+    (total,), (err,) = _estimate_blocks([table.sums.ravel()], est)
+    return total, err
 
 
 def mock_cheb_nodes(M, N, lo, hi):
@@ -450,7 +504,8 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
     The time window starts at spec.Delta (time_window).  The M_tau1 *
     M_eta prefix rectangles read their block probabilities from one
     _SegmentSums of the squared state, which sums each distinct time
-    segment of their plans once.  `scale` is the factor (N_b times the
+    segment of their plans once, and all their blocks go to the
+    estimator in one call.  `scale` is the factor (N_b times the
     squared solution norm) relating squared state amplitudes to psi^2.
     If a fitted density at the node grid is <= 0, every density the
     interpolant returns is lifted by the node grid's positive_shift, at
@@ -469,18 +524,17 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
 
     # every eta segment of a window starting at 0 is aligned, so each
     # block of the prefix rectangles is one entry of the table's pyramid
-    prob = np.abs(amps.reshape(N_t, N_x)) ** 2
+    prob = np.abs(amps.reshape(N_t, N_x))
+    prob *= prob
     plans_t = [plan_segments(t_lo, int(i), spec.n_tau1) for i in nidx_t]
     plans_x = [plan_segments(0, int(i), spec.n_eta) for i in nidx_x]
     table = _SegmentSums(prob, (s for p in plans_t for s in p.segments),
                          (s for p in plans_x for s in p.segments))
-    G = np.empty((M_t, M_x))
-    err_G = 0.0
-    for k, plan_t in enumerate(plans_t):
-        for l, plan_x in enumerate(plans_x):
-            G[k, l], e = _estimate_blocks(
-                table.block_probs(plan_t, plan_x), est)
-            err_G = max(err_G, e)
+    G, errs = _estimate_blocks([table.block_probs(plan_t, plan_x)
+                                for plan_t in plans_t for plan_x in plans_x],
+                               est)
+    G = np.reshape(G, (M_t, M_x))
+    err_G = max(errs)
 
     # tensor fit a = Vt^-1 G Vx^-T in the u basis, then fold the basis
     # scalings into standard Chebyshev coefficients of G

@@ -12,8 +12,7 @@ Three unrelated routes to the same numbers:
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ValidationError, QasianError
 from .grid import psi0
@@ -45,7 +44,15 @@ def crank_nicolson_solve(params, n_x, n_t, kink_shift=0.0):
     marched from psi(., 0) = psi0 to tau1 = T in n_t steps.  The two edge
     rows are frozen at their initial values (Dirichlet treatment of the
     truncation boundary).  Returns (lattice[(n_t+1), n_x], eta, tau1).
+
+    With A = I - (dt/2) L, a step solves A psi_{n+1} = (2I - A) psi_n,
+    that is psi_{n+1} = 2 A^-1 psi_n - psi_n: one solve with the
+    tridiagonal LU of A (dgttrf, once) per step, in place in the
+    lattice row.
     """
+    if n_x < 3 or n_t < 1:
+        raise ValidationError(f"need n_x >= 3 and n_t >= 1, got n_x={n_x}, "
+                              f"n_t={n_t}")
     eta = cn_nodes(params, n_x)
     h = eta[1] - eta[0]
     dt = params.T / n_t
@@ -54,23 +61,30 @@ def crank_nicolson_solve(params, n_x, n_t, kink_shift=0.0):
     lower = diff / h ** 2 - drift / (2 * h)
     center = -2.0 * diff / h ** 2
     upper = diff / h ** 2 + drift / (2 * h)
-    L = sp.diags([lower[1:], center, upper[:-1]], offsets=[-1, 0, 1],
-                 format="lil")
-    L[0, :] = 0.0
-    L[-1, :] = 0.0
-    L = L.tocsc()
-    I = sp.identity(n_x, format="csc")
-    lhs = spla.factorized((I - 0.5 * dt * L).tocsc())
-    rhs_op = (I + 0.5 * dt * L).tocsr()
-    psi = psi0(params, eta, kink_shift=kink_shift)
+    # A's three diagonals; the edge rows of L are zero
+    center[[0, -1]] = 0.0
+    lower[-1] = 0.0
+    upper[0] = 0.0
+    dl, d, du, du2, ipiv, info = dgttrf(-0.5 * dt * lower[1:],
+                                        1.0 - 0.5 * dt * center,
+                                        -0.5 * dt * upper[:-1])
+    if info != 0:
+        raise QasianError(f"Crank-Nicolson matrix is singular (dgttrf info "
+                          f"{info})")
     lattice = np.empty((n_t + 1, n_x))
-    lattice[0] = psi
-    norm0 = np.linalg.norm(psi)
-    for step in range(1, n_t + 1):
-        psi = lhs(rhs_op @ psi)
-        if not np.all(np.isfinite(psi)) or np.linalg.norm(psi) > 1e6 * max(norm0, 1.0):
-            raise QasianError("finite-difference solution blow-up")
-        lattice[step] = psi
+    lattice[0] = psi0(params, eta, kink_shift=kink_shift)
+    with np.errstate(all="ignore"):
+        for step in range(1, n_t + 1):
+            x = lattice[step]
+            x[:] = lattice[step - 1]
+            dgttrs(dl, d, du, du2, ipiv, x, overwrite_b=1)
+            x *= 2.0
+            x -= lattice[step - 1]
+        blown = not np.all(np.isfinite(lattice)) or np.any(
+            np.linalg.norm(lattice, axis=1)
+            > 1e6 * max(np.linalg.norm(lattice[0]), 1.0))
+    if blown:
+        raise QasianError("finite-difference solution blow-up")
     tau1 = dt * np.arange(n_t + 1)
     return lattice, eta, tau1
 
@@ -109,6 +123,10 @@ def monte_carlo_price(params, S0, n_paths, n_steps, seed=0):
     """
     if n_paths < 1000:
         raise ValidationError("need n_paths >= 1000")
+    if n_steps < 1:
+        raise ValidationError(f"need n_steps >= 1, got {n_steps}")
+    if not S0 > 0:
+        raise ValidationError(f"need S0 > 0, got {S0!r}")
     rng = np.random.default_rng(seed)
     dt = params.T / n_steps
     drift = (params.r - params.q - 0.5 * params.sigma ** 2) * dt

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -155,13 +156,47 @@ class RecordingEstimator(qa.AmplitudeEstimator):
         self.seen = []
 
     def estimate_sqrt(self, q):
-        self.seen.append(q)
+        self.seen.extend(np.atleast_1d(q).tolist())
         return super().estimate_sqrt(q)
+
+
+class ScalarEstimator(RecordingEstimator):
+    """AmplitudeEstimator.estimate_sqrt as first written, one probability
+    per call: the reference for the batched estimator."""
+
+    def estimate_sqrt(self, q):
+        self.seen.append(q)
+        q = min(max(float(q), 0.0), 1.0)
+        s = math.sqrt(q)
+        if self.mode == "stochastic":
+            s += self._rng.uniform(-self.eps_prime, self.eps_prime)
+        elif self.mode == "adversarial":
+            s += self.eps_prime
+        self.calls += 1
+        if self.eps_prime > 0:
+            self.total_cost += 1.0 / self.eps_prime
+        return min(max(s, 0.0), 1.0)
+
+
+def reference_blocks(probs, est):
+    """_estimate_blocks as first written: one estimator call per block,
+    both sums added as the blocks go."""
+    total = 0.0
+    err = 0.0
+    for q in probs:
+        if est.mode != "exact" and q < est.eps_prime ** 2:
+            warnings.warn(
+                f"segment probability {q:.3e} below eps'^2; square-root "
+                "noise dominates", NoiseDominationWarning)
+        s = est.estimate_sqrt(q)
+        total += s * s
+        err += 2 * est.eps_prime * s + est.eps_prime ** 2
+    return total, err
 
 
 def per_block_reference(prob, t_lo, nidx_t, nidx_x, est):
     """G by one np.sum per segment pair of each prefix rectangle
-    [t_lo, t_k] x [0, x_l], through the same per-block estimator loop."""
+    [t_lo, t_k] x [0, x_l], through the per-block estimator loop."""
     n_t, n_x = (N.bit_length() - 1 for N in prob.shape)
     G = np.empty((len(nidx_t), len(nidx_x)))
     for k, t_hi in enumerate(nidx_t):
@@ -170,8 +205,82 @@ def per_block_reference(prob, t_lo, nidx_t, nidx_x, est):
                                        wx:wx + 2 ** (n_x - mx)]))
                      for wt, mt in qa.plan_segments(t_lo, t_hi, n_t).segments
                      for wx, mx in qa.plan_segments(0, x_hi, n_x).segments]
-            G[k, l] = ex._estimate_blocks(probs, est)[0]
+            G[k, l] = reference_blocks(probs, est)[0]
     return G
+
+
+class TestBatchedEstimation:
+    """One estimator call per readout against one call per block."""
+
+    @staticmethod
+    def _pair(mode, eps=3e-3, seed=12):
+        # 1/eps is inexact, so a cost of k/eps is not k terms added in turn
+        return (RecordingEstimator(mode=mode, eps_prime=eps, seed=seed),
+                ScalarEstimator(mode=mode, eps_prime=eps, seed=seed))
+
+    @staticmethod
+    def _same_state(new, ref):
+        assert new.calls == ref.calls
+        assert new.total_cost == ref.total_cost
+        # the batch drew exactly as many uniforms as the scalar calls
+        assert new._rng.random() == ref._rng.random()
+
+    @pytest.mark.parametrize("mode", ex.AE_MODES)
+    def test_estimate_sqrt_matches_scalar_calls(self, mode):
+        q = np.random.default_rng(3).random(300) ** 4
+        q[:6] = [0.0, 1.0, -1e-3, 1.0 + 1e-12, 1e-9, 5e-7]
+        new, ref = self._pair(mode)
+        got = new.estimate_sqrt(q)
+        assert got.tolist() == [ref.estimate_sqrt(x) for x in q]
+        one = new.estimate_sqrt(q[7])
+        assert type(one) is float and one == ref.estimate_sqrt(q[7])
+        self._same_state(new, ref)
+
+    @pytest.mark.parametrize("mode", ex.AE_MODES)
+    def test_blocks_match_scalar_loop(self, mode):
+        # runs of one to 40 blocks, some below eps'^2 so that noisy
+        # modes warn; long runs add more terms than a pairwise sum would
+        # take in order
+        rng = np.random.default_rng(9)
+        runs = [rng.random(int(k)) ** 6 for k in rng.integers(1, 41, 30)]
+        new, ref = self._pair(mode)
+        with warnings.catch_warnings(record=True) as w_new:
+            warnings.simplefilter("always")
+            totals, errs = ex._estimate_blocks(runs, new)
+        with warnings.catch_warnings(record=True) as w_ref:
+            warnings.simplefilter("always")
+            expect = [reference_blocks(r.tolist(), ref) for r in runs]
+        assert totals == [t for t, _ in expect]
+        assert errs == [e for _, e in expect]
+        self._same_state(new, ref)
+        assert [str(w.message) for w in w_new] == \
+            [str(w.message) for w in w_ref]
+        assert (len(w_ref) > 0) == (mode != "exact")
+
+    @pytest.mark.filterwarnings(
+        "ignore::qasian.errors.NoiseDominationWarning")
+    @pytest.mark.parametrize("mode", ex.AE_MODES)
+    def test_rectangle_and_window_match_scalar_loop(self, mode):
+        amps = random_state(9, 2).amplitudes
+        prob = np.abs(amps.reshape(32, 16)) ** 2
+        new, ref = self._pair(mode, eps=3e-2)
+        for t_lo, t_hi, x_lo, x_hi in ((0, 31, 0, 15), (3, 29, 5, 14),
+                                       (7, 7, 3, 3), (1, 22, 2, 11)):
+            plan_t = qa.plan_segments(t_lo, t_hi, 5)
+            plan_x = qa.plan_segments(x_lo, x_hi, 4)
+            table = ex._SegmentSums(prob, plan_t.segments, plan_x.segments)
+            assert qa.estimate_rectangle(prob, t_lo, t_hi, x_lo, x_hi,
+                                         new) == reference_blocks(
+                table.block_probs(plan_t, plan_x).tolist(), ref)
+        for x_i, x_f in ((0, 511), (5, 300), (17, 17)):
+            plan = qa.plan_segments(x_i, x_f, 9)
+            probs = [float(np.real(np.vdot(amps[w:w + 2 ** (9 - m)],
+                                           amps[w:w + 2 ** (9 - m)])))
+                     for w, m in plan.segments]
+            total, err = reference_blocks(probs, ref)
+            assert qa.estimate_window_integral(amps, x_i, x_f, new) == \
+                (total / 512, err / 512)
+        self._same_state(new, ref)
 
 
 class TestSegmentTable:
@@ -184,7 +293,7 @@ class TestSegmentTable:
     def _run(self, amps, n_t, n_x, Delta, M_t, M_x, mode, eps=0.0):
         spec = qa.grid_spec_direct(self.MARKET, n_x, n_t, Delta=Delta)
         new = RecordingEstimator(mode=mode, eps_prime=eps, seed=4)
-        ref = RecordingEstimator(mode=mode, eps_prime=eps, seed=4)
+        ref = ScalarEstimator(mode=mode, eps_prime=eps, seed=4)
         with warnings.catch_warnings(record=True) as w_new:
             warnings.simplefilter("always")
             res = qa.extract_psi_2d(amps, spec, {"M_eta": M_x,
@@ -242,6 +351,8 @@ class TestSegmentTable:
                              for w in w_ref)
         assert [str(w.message) for w in w_new] == \
             [str(w.message) for w in w_ref]
+        assert res.ae_cost == new.total_cost == ref.total_cost
+        assert new._rng.random() == ref._rng.random()
 
     def test_readout_call_count(self):
         # the benchmark's 2^10 x 2^10 planted readout at M = 8 takes 1764

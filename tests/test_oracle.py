@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import qasian as qa
 from qasian import oracle
-from qasian.errors import ValidationError
+from qasian.errors import QasianError, ValidationError
 
 
 def params(**kw):
@@ -49,6 +51,62 @@ class TestCrankNicolson:
         # sup-norm converges slowly; 2% at 512^2 is the observed level
         assert np.max(np.abs(lattice[t_idx] - expect)[interior]) < 0.05
 
+    @staticmethod
+    def _reference_lattice(params, n_x, n_t, kink_shift=0.0):
+        """The march as first written: a sparse LU of I - (dt/2) L and
+        one sparse product (I + (dt/2) L) psi per step."""
+        eta = oracle.cn_nodes(params, n_x)
+        h = eta[1] - eta[0]
+        dt = params.T / n_t
+        diff = 0.5 * params.sigma ** 2 * eta ** 2
+        drift = 1.0 / params.T - (params.r - params.q) * eta
+        lower = diff / h ** 2 - drift / (2 * h)
+        center = -2.0 * diff / h ** 2
+        upper = diff / h ** 2 + drift / (2 * h)
+        L = sp.diags([lower[1:], center, upper[:-1]], offsets=[-1, 0, 1],
+                     format="lil")
+        L[0, :] = 0.0
+        L[-1, :] = 0.0
+        L = L.tocsc()
+        I = sp.identity(n_x, format="csc")
+        lhs = spla.factorized((I - 0.5 * dt * L).tocsc())
+        rhs_op = (I + 0.5 * dt * L).tocsr()
+        psi = qa.psi0(params, eta, kink_shift=kink_shift)
+        lattice = np.empty((n_t + 1, n_x))
+        lattice[0] = psi
+        for step in range(1, n_t + 1):
+            psi = lhs(rhs_op @ psi)
+            lattice[step] = psi
+        return lattice
+
+    @pytest.mark.parametrize("market,kink_shift", [
+        ({}, 0.0),
+        ({"sigma": 0.0, "r": 0.0}, 0.0),
+        ({"sigma": 1.0, "r": 0.0}, 0.0),
+        ({"sigma": 0.7, "r": 0.03, "q": 0.01, "T": 2.0}, 0.05),
+        ({"sigma": 0.5, "kind": "avg_strike_put"}, -0.1),
+    ], ids=["default", "sigma0", "sigma1", "kink-shift", "strike-put"])
+    def test_matches_sparse_reference(self, market, kink_shift):
+        p = params(**market)
+        for n_x, n_t in ((256, 200), (3, 5), (64, 1)):
+            lattice, eta, tau1 = oracle.crank_nicolson_solve(
+                p, n_x, n_t, kink_shift=kink_shift)
+            ref = self._reference_lattice(p, n_x, n_t, kink_shift)
+            assert np.max(np.abs(lattice - ref)) <= \
+                1e-12 * np.max(np.abs(ref))
+
+    def test_blow_up_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "psi0",
+                            lambda params, eta, kink_shift=0.0:
+                            np.full(eta.shape, np.nan))
+        with pytest.raises(QasianError):
+            oracle.crank_nicolson_solve(params(), 64, 8)
+
+    @pytest.mark.parametrize("n_x,n_t", [(1, 4), (2, 4), (64, 0), (64, -3)])
+    def test_rejects_degenerate_grids(self, n_x, n_t):
+        with pytest.raises(ValidationError):
+            oracle.crank_nicolson_solve(params(), n_x, n_t)
+
     def test_interpolator_roundtrip(self):
         p = params()
         lattice, eta, tau1 = oracle.crank_nicolson_solve(p, 64, 8)
@@ -81,6 +139,12 @@ class TestMonteCarlo:
     def test_path_floor(self):
         with pytest.raises(ValidationError):
             oracle.monte_carlo_price(params(), 1.0, 10, 8)
+
+    @pytest.mark.parametrize("S0,n_steps", [(1.0, 0), (1.0, -2), (-1.0, 4),
+                                            (0.0, 4), (float("nan"), 4)])
+    def test_rejects_degenerate_inputs(self, S0, n_steps):
+        with pytest.raises(ValidationError):
+            oracle.monte_carlo_price(params(), S0, 1000, n_steps)
 
     def test_put_call_ordering(self):
         p_call = params(K=0.5)
