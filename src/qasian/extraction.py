@@ -166,87 +166,32 @@ def estimate_window_integral(state, x_i, x_f, est, plan=None):
     return total / N, err / N
 
 
-def _dyadic_cover(lo, b):
-    """The aligned blocks (c, j) = [j 2^c, (j+1) 2^c) that tile
-    [lo, lo + 2^b), left to right: one block when 2^b divides lo.
-
-    Up to the next multiple of 2^b the blocks grow, one per set bit of
-    the distance to it; past it they shrink, one per set bit of
-    lo mod 2^b.
-    """
-    rest = lo & ((1 << b) - 1)
-    if not rest:
-        return [(b, lo >> b)]
-    cover = []
-    up = (1 << b) - rest
-    while up:
-        c = (up & -up).bit_length() - 1
-        cover.append((c, lo >> c))
-        lo += 1 << c
-        up &= up - 1
-    while rest:
-        c = rest.bit_length() - 1
-        cover.append((c, lo >> c))
-        lo += 1 << c
-        rest ^= 1 << c
-    return cover
-
-
 class _SegmentSums:
     """Block sums of a (2^n_t, 2^n_x) probability table over given time
     and eta segments.
 
-    Each eta segment is tiled by its _dyadic_cover; the largest block of
-    the covers has 2^top columns.  The table is read only over the span
-    [lo, hi) of those blocks, widened to multiples of 2^top columns (and
-    of two).  One row sum over that span per distinct time segment
-    (w, m), then a dyadic pyramid of those rows along eta up to level
-    top: level c holds the sums of the aligned blocks [j 2^c, (j+1) 2^c).
-    The levels lie side by side in one array, followed by a column of
-    zeros.  Each cover, padded to the longest with that column, adds its
-    blocks left to right into `sums`, the block probability of every
-    (time segment, eta segment) pair.  An entry adds the same cells in
-    the same order whatever the span, so its value is the one a
-    full-width table gives.  Every sum adds non-negative cells, so a
-    small block keeps its relative accuracy, which differences of prefix
-    sums would not.
+    One full-width row sum per distinct time segment (w, m), then one sum
+    over each distinct eta segment's columns of those rows: `sums` holds
+    the block probability of every (time segment, eta segment) pair.
+    Every sum adds non-negative cells, so a small block keeps its
+    relative accuracy, which differences of prefix sums would not.
     """
 
     def __init__(self, prob, t_segments, x_segments):
         n_t = prob.shape[0].bit_length() - 1
         n_x = prob.shape[1].bit_length() - 1
-        covers = {(w, m): _dyadic_cover(w, n_x - m) for w, m in x_segments}
-        top = max(max(cover)[0] for cover in covers.values())
-        # a span of at least two columns: over one, np.add.reduce would
-        # add the rows pairwise, not in row order as over the full width
-        b = max(top, min(n_x, 1))
-        lo = min(covers)[0] >> b << b
-        hi = -(-max(w + 2 ** (n_x - m) for w, m in covers) >> b) << b
-        self.rows = {}
+        self.rows, self.cols = {}, {}
         for seg in t_segments:
             self.rows.setdefault(seg, len(self.rows))
-        self.cols = {seg: i for i, seg in enumerate(covers)}
-        # level c takes the span's (hi - lo) >> c columns from column
-        # 2 (hi - lo) - (2 (hi - lo) >> c); the last column holds zeros
-        span = 2 * (hi - lo)
-        pyramid = np.zeros((len(self.rows), span - (span >> top + 1) + 1))
+        for seg in x_segments:
+            self.cols.setdefault(seg, len(self.cols))
+        rows = np.empty((len(self.rows), prob.shape[1]))
         for (w, m), i in self.rows.items():
-            np.add.reduce(prob[w:w + 2 ** (n_t - m), lo:hi], axis=0,
-                          out=pyramid[i, :hi - lo])
-        for c in range(top):
-            start, end = span - (span >> c), span - (span >> c + 1)
-            np.add(pyramid[:, start:end:2], pyramid[:, start + 1:end:2],
-                   out=pyramid[:, end:span - (span >> c + 2)])
-        # each cover's blocks as pyramid columns, padded to the longest
-        # cover with the zero column, added left to right
-        length = max(map(len, covers.values()))
-        blocks = []
-        for cover in covers.values():
-            blocks += [span - (span >> c) + j - (lo >> c) for c, j in cover]
-            blocks += [-1] * (length - len(cover))
-        self.sums = pyramid.take(blocks[::length], axis=1)
-        for k in range(1, length):
-            self.sums += pyramid.take(blocks[k::length], axis=1)
+            np.add.reduce(prob[w:w + 2 ** (n_t - m)], axis=0, out=rows[i])
+        self.sums = np.empty((len(self.rows), len(self.cols)))
+        for (w, m), j in self.cols.items():
+            np.add.reduce(rows[:, w:w + 2 ** (n_x - m)], axis=1,
+                          out=self.sums[:, j])
 
     def block_probs(self, plan_t, plan_x):
         """The rectangle's block probabilities, one per segment pair, time
@@ -263,8 +208,7 @@ def estimate_rectangle(prob, t_lo, t_hi, x_lo, x_hi, est):
     come from its shape.  Composes the two registers' segmentation plans:
     every pair of segments shifts both registers and measures all-zeros
     on both top blocks jointly, one amplitude estimation per pair.  The
-    block probabilities are read from a _SegmentSums of the table over
-    the columns the rectangle's eta segments cover.
+    block probabilities are the sums of a _SegmentSums of the table.
     """
     prob = np.asarray(prob)
     if prob.ndim != 2 or any(N < 1 or N & (N - 1) for N in prob.shape):
@@ -323,13 +267,7 @@ def vandermonde(s_nodes, M):
     """Chebyshev-Vandermonde matrix in the orthonormalized basis
     u_0 = sqrt(1/M) T_0, u_j = sqrt(2/M) T_j."""
     s = np.asarray(s_nodes, dtype=float)
-    V = np.empty((s.size, M))
-    scales = _basis_scales(M)
-    for j in range(M):
-        e = np.zeros(j + 1)
-        e[j] = 1.0
-        V[:, j] = scales[j] * C.chebval(s, e)
-    return V
+    return C.chebvander(s, M - 1) * _basis_scales(M)
 
 
 def fit_interpolant(samples, s_nodes):
@@ -503,10 +441,10 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
     cfg: mapping with M_eta, M_tau1 and optionally eta_max (default 1).
     The time window starts at spec.Delta (time_window).  The M_tau1 *
     M_eta prefix rectangles read their block probabilities from one
-    _SegmentSums of the squared state, which sums each distinct time
-    segment of their plans once, and all their blocks go to the
-    estimator in one call.  `scale` is the factor (N_b times the
-    squared solution norm) relating squared state amplitudes to psi^2.
+    _SegmentSums of the squared state, which sums each distinct segment
+    of their plans once, and all their blocks go to the estimator in one
+    call.  `scale` is the factor (N_b times the squared solution norm)
+    relating squared state amplitudes to psi^2.
     If a fitted density at the node grid is <= 0, every density the
     interpolant returns is lifted by the node grid's positive_shift, at
     least err_bound, before the square root.
@@ -522,8 +460,6 @@ def extract_psi_2d(state, spec, cfg, est, scale=1.0):
     nidx_t, s_t = mock_cheb_nodes(M_t, Nt_win, t_lo, N_t - 1)
     nidx_x, s_x = mock_cheb_nodes(M_x, N_x, 0, N_x - 1)
 
-    # every eta segment of a window starting at 0 is aligned, so each
-    # block of the prefix rectangles is one entry of the table's pyramid
     prob = np.abs(amps.reshape(N_t, N_x))
     prob *= prob
     plans_t = [plan_segments(t_lo, int(i), spec.n_tau1) for i in nidx_t]

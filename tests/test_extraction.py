@@ -12,6 +12,29 @@ import qasian.extraction as ex
 from qasian.errors import NoiseDominationWarning, ValidationError
 
 
+@hs.composite
+def windows(draw, sides):
+    """(n, lo, hi): a window [lo, hi] of 2^n cells, n drawn from sides."""
+    n = draw(sides)
+    lo = draw(hs.integers(0, 2 ** n - 1))
+    return n, lo, draw(hs.integers(lo, 2 ** n - 1))
+
+
+@hs.composite
+def tables_and_rectangles(draw):
+    """A random (2^n_t, 2^n_x) probability table, sides 2^0-2^6, summing
+    to 1, and one to four index rectangles (t_lo, t_hi, x_lo, x_hi) of
+    it, unaligned ones included."""
+    n_t = draw(hs.integers(0, 6))
+    n_x = draw(hs.integers(0, 6))
+    prob = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1))).random(
+        (2 ** n_t, 2 ** n_x))
+    prob /= prob.sum()
+    rects = [draw(windows(hs.just(n_t)))[1:] + draw(windows(hs.just(n_x)))[1:]
+             for _ in range(draw(hs.integers(1, 4)))]
+    return prob, rects
+
+
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
@@ -51,6 +74,19 @@ class TestPlanSegments:
         for xi, xf in ((0, 30), (3, 9), (5, 20)):
             plan = qa.plan_segments(xi, xf, 5)
             assert len(plan.segments) == bin(xf - xi + 1).count("1")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(window=windows(hs.integers(0, 12)))
+    def test_segments_tile_the_window(self, window):
+        n, x_i, x_f = window
+        plan = qa.plan_segments(x_i, x_f, n)
+        sizes = [2 ** (n - m) for _, m in plan.segments]
+        # in order, each segment starts where the last one ended
+        assert [w for w, _ in plan.segments] == \
+            [x_i + sum(sizes[:k]) for k in range(len(sizes))]
+        assert x_i + sum(sizes) == x_f + 1 == x_i + plan.covered
+        assert all(a > b for a, b in zip(sizes, sizes[1:]))
+        assert len(sizes) == bin(x_f - x_i + 1).count("1")
 
     def test_range_errors(self):
         with pytest.raises(ValidationError):
@@ -139,6 +175,19 @@ class TestRectangle:
                         assert abs(v - truth) <= 1e-15
                         assert est.calls - calls == \
                             pop_t * bin(x_hi - x_lo + 1).count("1")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=tables_and_rectangles())
+    def test_exact_matches_rectangle_sum(self, case):
+        prob, rects = case
+        est = qa.AmplitudeEstimator(mode="exact")
+        for t_lo, t_hi, x_lo, x_hi in rects:
+            calls = est.calls
+            v, err = qa.estimate_rectangle(prob, t_lo, t_hi, x_lo, x_hi, est)
+            truth = np.sum(prob[t_lo:t_hi + 1, x_lo:x_hi + 1])
+            assert abs(v - truth) <= 1e-15 * truth and err == 0.0
+            assert est.calls - calls == bin(t_hi - t_lo + 1).count("1") \
+                * bin(x_hi - x_lo + 1).count("1")
 
     @pytest.mark.parametrize("shape", [(16,), (2, 2, 4), (3, 4), (4, 6),
                                        (0, 4)])
@@ -368,10 +417,10 @@ class TestSegmentTable:
         assert res.ae_calls == est.calls == 1764
 
     @pytest.mark.parametrize("shape", [(32, 16), (16, 1), (1, 2), (2, 32)])
-    def test_narrow_span_matches_full_width(self, shape):
-        # a rectangle's table spans only the columns its eta segments
-        # cover; the whole-width segment (0, 0) widens it to the full
-        # table, and the block sums must not change in the last bit
+    def test_block_sums_ignore_the_other_segments(self, shape):
+        # a block's sum does not depend on which other segments share the
+        # table: adding the whole-width segment (0, 0) to a rectangle's
+        # eta segments must not change its block sums in the last bit
         prob = np.random.default_rng(shape[1]).random(shape)
         n_t, n_x = (N.bit_length() - 1 for N in shape)
         for t_lo in range(0, shape[0], 3):
@@ -380,22 +429,35 @@ class TestSegmentTable:
                 for x_lo in range(shape[1]):
                     for x_hi in range(x_lo, shape[1]):
                         plan_x = qa.plan_segments(x_lo, x_hi, n_x)
-                        narrow = ex._SegmentSums(prob, plan_t.segments,
-                                                 plan_x.segments)
-                        full = ex._SegmentSums(
+                        own = ex._SegmentSums(prob, plan_t.segments,
+                                              plan_x.segments)
+                        shared = ex._SegmentSums(
                             prob, plan_t.segments,
                             plan_x.segments + ((0, 0),))
-                        assert list(narrow.block_probs(plan_t, plan_x)) \
-                            == list(full.block_probs(plan_t, plan_x))
+                        assert list(own.block_probs(plan_t, plan_x)) \
+                            == list(shared.block_probs(plan_t, plan_x))
 
-    @pytest.mark.parametrize("b", range(5))
-    def test_dyadic_cover_tiles_the_block(self, b):
-        for lo in range(40):
-            cover = list(ex._dyadic_cover(lo, b))
-            cells = [i for c, j in cover
-                     for i in range(j << c, (j + 1) << c)]
-            assert cells == list(range(lo, lo + 2 ** b))
-            assert (len(cover) == 1) == (lo % 2 ** b == 0)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=tables_and_rectangles())
+    def test_block_probs_match_block_sums(self, case):
+        # one table shared by every rectangle's segments, as in
+        # extract_psi_2d
+        prob, rects = case
+        n_t, n_x = (N.bit_length() - 1 for N in prob.shape)
+        plans = [(qa.plan_segments(t_lo, t_hi, n_t),
+                  qa.plan_segments(x_lo, x_hi, n_x))
+                 for t_lo, t_hi, x_lo, x_hi in rects]
+        table = ex._SegmentSums(
+            prob, [seg for p, _ in plans for seg in p.segments],
+            [seg for _, p in plans for seg in p.segments])
+        for plan_t, plan_x in plans:
+            truth = np.array([np.sum(prob[wt:wt + 2 ** (n_t - mt),
+                                          wx:wx + 2 ** (n_x - mx)])
+                              for wt, mt in plan_t.segments
+                              for wx, mx in plan_x.segments])
+            got = table.block_probs(plan_t, plan_x)
+            assert got.shape == truth.shape
+            assert np.all(np.abs(got - truth) <= 1e-15 * truth)
 
 
 class TestPsiSqLattice:
