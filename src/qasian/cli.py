@@ -506,7 +506,9 @@ def main(argv=None):
     except (ValidationError, InfeasibleScaleError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except QasianError as exc:
+    except (QasianError, ArithmeticError) as exc:
+        # ArithmeticError: a float overflow or zero division on an input
+        # at the edge of float range
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3

@@ -230,24 +230,29 @@ def mock_cheb_nodes(M, N, lo, hi):
     Ties round toward the center s = 0; collisions fall back to the
     nearest unused neighbour.  Returns (indices, s_values) in Chebyshev
     node order k = 1..M (descending s).
+
+    A node skips at most the M - 1 cells taken before it, so it takes one
+    of the M cells nearest to it, and those lie within M - 1 cells of
+    its nearest one.  So only the cells within M + 2 of the cell that
+    its rounded position names are ranked: the margin covers that
+    rounding.
     """
     if hi - lo + 1 != N:
         raise ValidationError("index range must contain exactly N points")
     if M < 1 or M > N:
         raise ValidationError("need 1 <= M <= N")
     s_grid = -1.0 + (2.0 * np.arange(N) + 1.0) / N
+    abs_grid = np.abs(s_grid)
     used = set()
     idx = np.empty(M, dtype=int)
     s_prime = np.empty(M)
     for k in range(1, M + 1):
         s_k = math.cos((2 * k - 1) * math.pi / (2 * M))
-        d = np.abs(s_grid - s_k)
-        order = np.lexsort((np.abs(s_grid), d))  # tie -> closer to center
-        chosen = None
-        for j in order:
-            if j not in used:
-                chosen = int(j)
-                break
+        near = round((s_k + 1.0) * N / 2.0 - 0.5)
+        a, b = max(near - M - 2, 0), min(near + M + 3, N)
+        # tie -> closer to center
+        order = a + np.lexsort((abs_grid[a:b], np.abs(s_grid[a:b] - s_k)))
+        chosen = next((j for j in order.tolist() if j not in used), None)
         if chosen is None:
             raise NodeCollisionError(
                 f"no free grid point near Chebyshev node {k} of {M}")

@@ -277,17 +277,23 @@ def _closure_row(N):
 
 
 def time_diagonals(band):
-    """(dl, d, du, m) of Ct from its band storage (build_time_operator):
-    the sub-, main and superdiagonal, and the multiplier m of the row
-    operation E, row N-1 -= m row N-2, that clears Ct's one entry below
-    its subdiagonal, the closure row's (N-1, N-3).  E does not depend on
-    a shift s: E (Ct + s I) is tridiagonal for every s.  With N = 2 the
-    closure reaches no column N-3, so m = 0 and E = I."""
-    N = band.shape[1]
+    """(dl, d, du, m): the sub-, main and superdiagonal of the tridiagonal
+    C~ = E Ct E^-1, Ct given by its band storage (build_time_operator),
+    and the multiplier m of E, the row operation row N-1 -= m row N-2
+    that clears the closure row's entry (N-1, N-3) below the
+    subdiagonal.  E^-1 adds m column N-1 to column N-2, so C~ differs
+    from Ct only in entries (N-2, N-2), (N-1, N-2) and (N-1, N-1).
+    C~ + s I = E (Ct + s I) E^-1 for every shift s.  With N = 2 the
+    closure reaches no column N-3, so m = 0 and C~ = Ct."""
+    dl, d, du = (band[TIME_KU + 1, :-1].copy(), band[TIME_KU].copy(),
+                 band[TIME_KU - 1, 1:].copy())
     m = 0.0
-    if N >= 3:  # Ct[N-1, N-3] / Ct[N-2, N-3]
-        m = band[TIME_KU + 2, N - 3] / band[TIME_KU + 1, N - 3]
-    return band[TIME_KU + 1, :-1], band[TIME_KU], band[TIME_KU - 1, 1:], m
+    if d.size >= 3:  # Ct[N-1, N-3] / Ct[N-2, N-3]
+        m = band[TIME_KU + 2, -3] / dl[-2]
+        dl[-1] += m * (d[-1] - d[-2] - m * du[-1])
+        d[-2] += m * du[-1]
+        d[-1] -= m * du[-1]
+    return dl, d, du, m
 
 
 def build_time_operator(spec):
@@ -452,9 +458,12 @@ def build_rhs(spec, params, kink_shift=0.0):
     b[:Nx] = p0 / 2.0
     if spec.N_tau1 == 2:
         b[-Nx:] -= END_GHOST[0] * p0 / 2.0
-    norm_b = float(b @ b)
+    with np.errstate(over="ignore"):
+        norm_b = float(b @ b)
     if norm_b == 0.0:
         raise ValidationError("initial profile vanishes on every node")
+    if not math.isfinite(norm_b):
+        raise ValidationError("initial profile's squared norm overflows")
     return b / math.sqrt(norm_b), norm_b
 
 

@@ -202,14 +202,17 @@ class SpaceTimeSystem:
     triangular, with a 1 x 1 diagonal block per real eigenvalue of L and a
     2 x 2 block per complex pair.  With Z = X V and F = C V the equation
     becomes S Z = Ct Z + Z T = F, and its column blocks solve in order:
-    block J takes Ct Z_J + Z_J T_JJ = F_J - Z[:, :J] T[:J, J].  Each block
-    is one tridiagonal system of N_tau1 unknowns (_block_solver): one row
-    operation clears the closure row's entry below the subdiagonal, a
-    1 x 1 block is the real shifted system Ct + T_jj I, and a 2 x 2 block
-    is one complex shifted system Ct + (a + i w) I (at N_tau1 = 2, a
-    2 x 2 dense one).  S^T Z = F runs the blocks backwards through the
-    same factors, transposed.  Ct is not normal (its closure row), which
-    this route does not need.  The sweep runs in one (N_tau1, N_eta)
+    block J takes Ct Z_J + Z_J T_JJ = F_J - Z[:, :J] T[:J, J].  The sweep
+    runs in the coordinates of the tridiagonal C~ = E Ct E^-1
+    (grid.time_diagonals), E the row operation that clears the closure
+    row's entry below the subdiagonal: F is taken to E F once on entry
+    and Z back once on exit.  So each block is one tridiagonal system of
+    N_tau1 unknowns (_block_solver): a 1 x 1 block the real shifted system
+    C~ + T_jj I, and a 2 x 2 block one complex shifted system
+    C~ + (a + i w) I (at N_tau1 = 2, a 2 x 2 dense one).  S^T Z = F runs
+    the blocks backwards through the same factors, transposed, between
+    E^-T on entry and E^T on exit.  Ct is not normal (its closure row),
+    which this route does not need.  The sweep runs in one (N_tau1, N_eta)
     workspace, into which F is multiplied, with every view of it taken
     when the factors are built, so a solve allocates nothing per block.
     This one sweep serves every dim: its cost is O(dim) per block on top
@@ -371,19 +374,16 @@ def _schur_blocks(T):
 
 
 def _shifted_solver(diagonals, s):
-    """(y, trans) -> None: solves E (Ct + s I) x = y, or with trans "T"
-    its transpose, in place on y; diagonals from grid.time_diagonals.
+    """(y, trans) -> None: solves (C~ + s I) x = y, or with trans "T" its
+    transpose, in place on y; diagonals (dl, d, du, m) from
+    grid.time_diagonals, whose m it does not use.
 
     Factored once by dgttrf, or zgttrf for a complex s.  scipy's ?gttrf
     wrappers refuse n = 2, so at N_tau1 = 2 the 2 x 2 is factored by
     dgetrf or zgetrf instead.
     """
-    dl, d, du, m = diagonals
+    dl, d, du, _ = diagonals
     d = d + s
-    dl = dl.astype(d.dtype)
-    # row N-1 -= m row N-2 on the two entries it changes
-    dl[-1] -= m * d[-2]
-    d[-1] -= m * du[-1]
     if d.size == 2:
         getrf, getrs = (zgetrf, zgetrs) if np.iscomplexobj(d) else \
             (dgetrf, dgetrs)
@@ -394,9 +394,8 @@ def _shifted_solver(diagonals, s):
     else:
         gttrf, gttrs = (zgttrf, zgttrs) if np.iscomplexobj(d) else \
             (dgttrf, dgttrs)
-        # du is Ct's own band row: the wrapper factors a copy of it
-        dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_dl=1,
-                                           overwrite_d=1)
+        # dl and du are shared by every shift: the wrapper factors copies
+        dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_d=1)
 
         def solve(y, trans):
             # positional (overwrite_b=1): f2py's keyword parsing costs a
@@ -414,38 +413,43 @@ def _block_solver(band, T):
 
     F is formed in a Fortran-order workspace that the solver owns, and Z
     is returned in it: valid until the next call, so a caller copies or
-    multiplies it out.  T's 1 x 1 and 2 x 2 diagonal blocks
-    (_schur_blocks) solve in order, each after subtracting the coupling
-    to the blocks already solved: the earlier ones through T's columns,
-    or, for the adjoint, the later ones through T^T's.  Every view of the
-    workspace and every coupling slice of T is taken once, here.  Each
-    block is one tridiagonal system of N_tau1 unknowns, E (Ct + s I) with
-    E the closure row's row operation (grid.time_diagonals), factored
-    once (_shifted_solver):
-    - a 1 x 1 block is Ct z + t_jj z = g, s = t_jj real, solved in place
-      on the workspace's column;
+    multiplies it out.  The sweep runs in the coordinates of the
+    tridiagonal C~ = E Ct E^-1 (grid.time_diagonals): one row update
+    each takes F to E F on entry and Z back by E^-1 on exit, or, for the
+    adjoint, E^-T and E^T.  T's 1 x 1 and 2 x 2 diagonal blocks
+    (_schur_blocks) then solve in order, each after subtracting the
+    coupling to the blocks already solved: the earlier ones through T's
+    columns, or, for the adjoint, the later ones through T^T's.  Every
+    view of the workspace and every coupling slice of T is taken once,
+    here.  Each block is one tridiagonal system C~ + s I of N_tau1
+    unknowns, factored once (_shifted_solver) and solved as it is or
+    transposed:
+    - a 1 x 1 block has s = t_jj real and is solved in place on the
+      workspace's column;
     - a 2 x 2 block [[a, b], [c, a]] with bc < 0 (LAPACK's standard form)
       has eigenvalues a +- i w, w = sqrt(-bc).  y = b z_1 + i w z_2
-      solves (Ct + (a + i w) I) y = b g_1 + i w g_2, so z_1 = Re y / b and
-      z_2 = Im y / w.  y is formed and split in place, in one preallocated
-      complex vector.  The adjoint block [[a, c], [b, a]] takes c in
-      place of b, through the same complex factors transposed (not
-      conjugated: Ct^T + (a + i w) I).  Splitting y scales the rounding
-      of one part by sqrt(|b|/|c|) or its inverse: at most 38 over sigma
-      0.3-10 and n_eta 3-8 (sigma = 0.5, n_eta = 7).
-    Forward, E is applied to the right-hand side before the solve; for
-    the adjoint, (E (Ct + s I))^T is solved and E^T applied after.
+      solves (C~ + (a + i w) I) y = b g_1 + i w g_2, so z_1 = Re y / b and
+      z_2 = Im y / w.  y is one preallocated complex vector, whose
+      (2, N_tau1) float view holds (Re y, Im y): one multiply of the
+      block's two columns by (b, w) forms it, one divide splits it.  The
+      adjoint block [[a, c], [b, a]] takes c in place of b, through the
+      same complex factors transposed (not conjugated).  Splitting y
+      scales the rounding of one part by sqrt(|b|/|c|) or its inverse: at
+      most 38 over sigma 0.3-10 and n_eta 3-8 (sigma = 0.5, n_eta = 7).
     """
     n = T.shape[0]
     diagonals = grid_mod.time_diagonals(band)
     m = diagonals[3]
     F = np.empty((band.shape[1], n), order="F")
     y_pair = np.empty(band.shape[1], dtype=complex)
-    y_re, y_im = y_pair.real, y_pair.imag
+    # (Re y, Im y) as a (2, N_tau1) view, matching each block's transposed
+    # columns: row-major traversal then runs along N_tau1 (on a 2-core x86
+    # VM, one multiply and divide in (N_tau1, 2) order took 5.2 / 13.7 us
+    # at N_tau1 128 / 512, against 3.0 / 3.7 us)
+    y_parts = y_pair.view(float).reshape(-1, 2).T
     steps = {False: [], True: []}
     for lo, hi in _schur_blocks(T):
         if hi - lo == 1:
-            pair = None
             block_solve = _shifted_solver(diagonals, T[lo, lo])
         else:
             (a, b), (c, d) = T[lo:hi, lo:hi]
@@ -453,7 +457,6 @@ def _block_solver(band, T):
                 raise SingularFactorError(
                     f"Schur block at column {lo} is not in standard form")
             w = math.sqrt(-b * c)
-            pair = (b, c, w)
             block_solve = _shifted_solver(diagonals, complex(a, w))
         for adjoint, done, T_cols in ((False, slice(0, lo), T),
                                       (True, slice(hi, n), T.T)):
@@ -461,11 +464,10 @@ def _block_solver(band, T):
             if done.start != done.stop:
                 coupling = (F[:, done], np.asfortranarray(T_cols[done, lo:hi]),
                             F[:, lo:hi])
-            if pair is None:
-                steps[adjoint].append((coupling, None, F[:, lo], block_solve))
-            else:
-                columns = (F[:, lo], F[:, lo + 1], c if adjoint else b, w)
-                steps[adjoint].append((coupling, columns, y_pair, block_solve))
+            pair = None if hi - lo == 1 else (
+                F[:, lo:hi].T, np.array([[c if adjoint else b], [w]]))
+            steps[adjoint].append((coupling, pair, F[:, lo] if pair is None
+                                   else y_pair, block_solve))
     steps[True].reverse()
 
     def solve(X, G, adjoint):
@@ -473,25 +475,21 @@ def _block_solver(band, T):
             F[...] = X
         else:
             dgemm(1.0, X, G, c=F, overwrite_c=1)
-        trans = "T" if adjoint else "N"
-        for coupling, columns, y, block_solve in steps[adjoint]:
+        # row i += e row j is E (E^-T for the adjoint); -= undoes it
+        i, j, e, trans = (-2, -1, m, "T") if adjoint else (-1, -2, -m, "N")
+        F[i] += e * F[j]
+        for coupling, pair, y, block_solve in steps[adjoint]:
             if coupling is not None:
                 done, T_done, block = coupling
                 # block -= done T_done in place (beta=1, c=block,
                 # overwrite_c=1), positional as in _shifted_solver
                 dgemm(-1.0, done, T_done, 1.0, block, 0, 0, 1)
-            if columns is not None:
-                g1, g2, p, w = columns
-                np.multiply(g1, p, out=y_re)
-                np.multiply(g2, w, out=y_im)
-            if not adjoint:
-                y[-1] -= m * y[-2]
+            if pair is not None:
+                np.multiply(*pair, out=y_parts)
             block_solve(y, trans)
-            if adjoint:
-                y[-2] -= m * y[-1]
-            if columns is not None:
-                np.divide(y_re, p, out=g1)
-                np.divide(y_im, w, out=g2)
+            if pair is not None:
+                np.divide(y_parts, pair[1], out=pair[0])
+        F[i] -= e * F[j]
         return F
     return solve
 
@@ -520,26 +518,32 @@ def _norm2(op, v=None):
         v = _start_vector(op.shape[1])
     v = v / dnrm2(v)
     u = op.matvec(v)
-    alpha, beta = [dnrm2(u)], []
-    if alpha[0] == 0.0:
+    alpha = dnrm2(u)
+    if alpha == 0.0:
         return 0.0
+    # the diagonals of B_k B_k^T, one new entry of each per step:
+    # d_i = alpha_i^2 + beta_i^2 (alpha_k^2 at i = k), e_i = beta_i alpha_{i+1}
+    d, e = np.empty((2, NORM_STEPS))
+    d[0] = alpha * alpha
     for k in range(1, NORM_STEPS + 1):
-        u = u / alpha[-1]
-        r = op.rmatvec(u) - alpha[-1] * v
-        beta.append(dnrm2(r))
-        theta, y_k = _top_left(alpha, beta)
-        if beta[-1] * abs(y_k) <= NORM_TOL * theta:
+        u = u / alpha
+        r = op.rmatvec(u) - alpha * v
+        beta = dnrm2(r)
+        theta, y_k = _top_left(d[:k], e[:k - 1])
+        if beta * abs(y_k) <= NORM_TOL * theta:
             return theta
         if k == NORM_STEPS:
             break
-        v = r / beta[-1]
-        u = op.matvec(v) - beta[-1] * u
-        alpha.append(dnrm2(u))
-        if alpha[-1] == 0.0:
-            return _top_left(alpha, beta)[0]
+        v = r / beta
+        u = op.matvec(v) - beta * u
+        alpha = dnrm2(u)
+        d[k - 1] += beta * beta
+        d[k], e[k - 1] = alpha * alpha, beta * alpha
+        if alpha == 0.0:
+            return _top_left(d[:k + 1], e[:k])[0]
     raise NormConvergenceError(
         f"largest singular value not converged in {NORM_STEPS} "
-        f"Golub-Kahan-Lanczos steps (residual {beta[-1] * abs(y_k):.3e}, "
+        f"Golub-Kahan-Lanczos steps (residual {beta * abs(y_k):.3e}, "
         f"value {theta:.6e})")
 
 
@@ -548,20 +552,16 @@ def _start_vector(n):
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _top_left(alpha, beta):
-    """(theta, y_k): the largest singular value of the upper bidiagonal
-    B_k with diagonal alpha[:k] and superdiagonal beta[:k-1], and the
-    last entry of its left singular vector y, from the top eigenpair of
-    the tridiagonal B_k B_k^T (LAPACK bisection and inverse iteration)."""
-    k = len(alpha)
-    if k == 1:  # B_1 is alpha_1; dstebz's wrapper needs k >= 2
-        return alpha[0], 1.0
-    a = np.asarray(alpha)
-    b = np.asarray(beta[:k - 1])
-    d = a * a
-    d[:-1] += b * b
-    e = b * a[1:]
-    _, w, block, split, info = dstebz(d, e, 3, 0.0, 0.0, k, k, 0.0, "E")
+def _top_left(d, e):
+    """(theta, y_k): the largest singular value of the k x k upper
+    bidiagonal B_k of _norm2, and the last entry of its left singular
+    vector y, from the top eigenpair of the tridiagonal B_k B_k^T with
+    diagonal d and off-diagonal e (LAPACK bisection and inverse
+    iteration)."""
+    if d.size == 1:  # B_1 is alpha_1; dstebz's wrapper needs k >= 2
+        return math.sqrt(d[0]), 1.0
+    _, w, block, split, info = dstebz(d, e, 3, 0.0, 0.0, d.size, d.size,
+                                      0.0, "E")
     if info == 0:
         y, info = dstein(d, e, w[:1], block, split)
     if info != 0:

@@ -80,9 +80,10 @@ def crank_nicolson_solve(params, n_x, n_t, kink_shift=0.0):
             dgttrs(dl, d, du, du2, ipiv, x, overwrite_b=1)
             x *= 2.0
             x -= lattice[step - 1]
-        blown = not np.all(np.isfinite(lattice)) or np.any(
-            np.linalg.norm(lattice, axis=1)
-            > 1e6 * max(np.linalg.norm(lattice[0]), 1.0))
+        # a non-finite entry makes its row's norm non-finite
+        norms = np.sqrt(np.einsum("ij,ij->i", lattice, lattice))
+        blown = not np.all(np.isfinite(norms)) or np.any(
+            norms > 1e6 * max(norms[0], 1.0))
     if blown:
         raise QasianError("finite-difference solution blow-up")
     tau1 = dt * np.arange(n_t + 1)

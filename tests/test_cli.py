@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 
+from hypothesis import HealthCheck, given, settings, strategies as hs
 import numpy as np
 import pytest
 
@@ -199,6 +202,23 @@ class TestExitCodes:
         assert err.startswith("validation error")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("config,code,start", [
+        ({"params": {"sigma": 1e-200}}, 3,
+         "numerical failure: ZeroDivisionError"),
+        ({"params": {"sigma": 1e200}}, 3, "numerical failure: OverflowError"),
+        ({"params": {"sigma": 1.0}, "extraction": {"ae_eps": 1e300}}, 3,
+         "numerical failure: OverflowError"),
+        ({"params": {"sigma": 1.0, "eta_max": 1e300}}, 2,
+         "validation error: initial profile's squared norm overflows"),
+    ], ids=["sigma-squared-underflows", "sigma-squared-overflows",
+            "ae-eps-squared-overflows", "rhs-norm-overflows"])
+    def test_float_range_edges(self, tmp_path, capsys, config, code, start):
+        # finite inputs whose arithmetic leaves the float range end on one
+        # line naming the failure, not on an internal error or a nan price
+        assert run_config(tmp_path, config, "price") == code
+        err = capsys.readouterr().err
+        assert err.startswith(start) and len(err.splitlines()) == 1
+
     def test_dimension_cap(self, tmp_path, capsys, monkeypatch):
         # sigma = 1, n_eta = 8 resolves 2^11 x 2^8 unknowns, past the cap;
         # the run stops before any operator is built
@@ -325,6 +345,87 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and key in err
         assert len(err.splitlines()) == 1
+
+
+#: Leaves a valid fuzz config may set, each over values that price at
+#: n_eta 2 or 3 (sigma >= 1 meets n_eta = 2's smoothing inequality).
+VALID_LEAVES = {
+    ("params", "sigma"): hs.floats(1.0, 1.5),
+    ("params", "r"): hs.floats(0.0, 0.1),
+    ("params", "q"): hs.floats(0.0, 0.05),
+    ("params", "K"): hs.floats(0.8, 1.2),
+    ("params", "kind"): hs.sampled_from(grid.KINDS),
+    ("extraction", "ae_mode"): hs.sampled_from(extraction.AE_MODES),
+    ("extraction", "ae_eps"): hs.floats(0.0, 1e-3),
+    ("extraction", "seed"): hs.integers(0, 2 ** 32 - 1),
+    ("kink_shift",): hs.floats(-0.2, 0.2),
+}
+
+#: Every leaf of DEFAULT_CONFIG and every section, plus unknown keys.
+FUZZ_PATHS = [(section, key) for section, leaves in cli.DEFAULT_CONFIG.items()
+              if isinstance(leaves, dict) for key in leaves] + [
+    (key,) for key in cli.DEFAULT_CONFIG] + [("unknown",), ("params", "vol")]
+
+#: Wrong types, non-finite and out-of-range numbers, bad kind/ae_mode
+#: strings, and in-range values that a fuzzed path may take.
+FUZZ_VALUES = hs.one_of(
+    hs.sampled_from([float("nan"), float("inf"), -float("inf"), None, True,
+                     "", "bogus", "Exact", "avg_rate_put", [], [1, 2],
+                     {"x": 1}, 1e300, -1e300, 1e-300]),
+    hs.integers(-10 ** 6, 10 ** 6), hs.integers(0, 30),
+    hs.floats(-1e6, 1e6), hs.floats(allow_nan=False), hs.text(max_size=4))
+
+
+@hs.composite
+def fuzz_configs(draw):
+    """(valid, config): a config at n_eta 2 or 3 that prices, or the same
+    with one to three paths set to FUZZ_VALUES."""
+    cfg = {"n_eta": draw(hs.integers(2, 3)),
+           "params": {"sigma": draw(VALID_LEAVES[("params", "sigma")])},
+           "extraction": {"M_eta": 4, "M_tau1": 2}}
+    for path, values in VALID_LEAVES.items():
+        if draw(hs.booleans()):
+            node = cfg
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = draw(values)
+    if draw(hs.booleans()):
+        return True, cfg
+    for _ in range(draw(hs.integers(1, 3))):
+        path = draw(hs.sampled_from(FUZZ_PATHS))
+        node = cfg
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        if isinstance(node, dict):  # an earlier draw may have made it a leaf
+            node[path[-1]] = draw(FUZZ_VALUES)
+    return False, cfg
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=fuzz_configs(),
+           command=hs.sampled_from(["build", "solve", "price"]))
+    def test_every_config_ends_in_an_exit_code(self, tmp_path, monkeypatch,
+                                               case, command):
+        # each run overwrites the last one's config and artifacts; a cap
+        # of 2^9 unknowns ends a fuzzed large grid on exit 3 at once (the
+        # valid configs resolve at most 4 x 8)
+        monkeypatch.setattr(inversion, "DIM_CAP", 2 ** 9)
+        valid, config = case
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))  # NaN and inf as JSON extensions
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--outdir", str(tmp_path / "out"),
+                             "--config", str(path), command])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        # an unexpected exception type is a fault, not an input's limit
+        assert "internal error" not in err.getvalue()
+        if valid:
+            assert code == 0, err.getvalue()
 
 
 class TestDeterminism:

@@ -35,6 +35,36 @@ def tables_and_rectangles(draw):
     return prob, rects
 
 
+@hs.composite
+def node_requests(draw):
+    """(M, N, lo): N cells, 2 to 4096, from index lo, and M <= N nodes:
+    up to 32 of them, or, for N <= 512, within 3 of N."""
+    N = draw(hs.integers(2, 4096))
+    if N <= 512 and draw(hs.booleans()):
+        M = draw(hs.integers(max(N - 3, 1), N))
+    else:
+        M = draw(hs.integers(1, min(N, 32)))
+    return M, N, draw(hs.integers(0, 1000))
+
+
+def full_ranking_cheb_nodes(M, N, lo, hi):
+    """mock_cheb_nodes ranking all N cells for every node: the reference
+    for its windowed ranking."""
+    s_grid = -1.0 + (2.0 * np.arange(N) + 1.0) / N
+    used = set()
+    idx = np.empty(M, dtype=int)
+    s_prime = np.empty(M)
+    for k in range(1, M + 1):
+        s_k = math.cos((2 * k - 1) * math.pi / (2 * M))
+        d = np.abs(s_grid - s_k)
+        order = np.lexsort((np.abs(s_grid), d))  # tie -> closer to center
+        chosen = next(int(j) for j in order if j not in used)
+        used.add(chosen)
+        idx[k - 1] = lo + chosen
+        s_prime[k - 1] = s_grid[chosen]
+    return idx, s_prime
+
+
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
@@ -563,6 +593,23 @@ class TestMockChebNodes:
     def test_distinct_indices(self):
         idx, _ = qa.mock_cheb_nodes(8, 16, 0, 15)
         assert len(set(idx)) == 8
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 13, 16, 32, 64])
+    def test_every_node_count_matches_full_ranking(self, N):
+        # every M <= N, so the collisions crowding the edge cells at
+        # M close to N are covered; lo != 0 shifts the indices only
+        for M in range(1, N + 1):
+            for got, want in zip(qa.mock_cheb_nodes(M, N, 7, N + 6),
+                                 full_ranking_cheb_nodes(M, N, 7, N + 6)):
+                assert np.array_equal(got, want), (M, N)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(request=node_requests())
+    def test_matches_full_ranking(self, request):
+        M, N, lo = request
+        for got, want in zip(qa.mock_cheb_nodes(M, N, lo, lo + N - 1),
+                             full_ranking_cheb_nodes(M, N, lo, lo + N - 1)):
+            assert np.array_equal(got, want), (M, N, lo)
 
 
 class TestFitInterpolant:

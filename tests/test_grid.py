@@ -280,6 +280,22 @@ class TestAssemble:
         with pytest.raises(ValidationError):
             qa.grid_spec_direct(params(), 2, 0)
 
+    @pytest.mark.parametrize("n_tau1", [1, 2, 3, 4, 7])
+    def test_time_diagonals_similar_to_closed_operator(self, n_tau1):
+        # E^-1 C~ E is the dense closed Ct, with E = I - m e_{N-1} e_{N-2}^T
+        # the row operation and C~ the tridiagonal of time_diagonals
+        spec = qa.grid_spec_direct(params(), 2, n_tau1)
+        N = spec.N_tau1
+        ops = qa.build_operators(spec, params())
+        dl, d, du, m = qa.grid.time_diagonals(ops.Ct.data)
+        C_tilde = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+        E = np.eye(N)
+        E[N - 1, N - 2] = -m
+        Ct = spec.delta_tau1 * (qa.build_time_derivative(spec) + ops.C_close)
+        assert np.max(np.abs(np.linalg.solve(E, C_tilde @ E) - Ct)) <= \
+            1e-15 * np.max(np.abs(Ct))
+        assert (m == 0.0) == (N == 2)
+
     def test_converges_to_semi_discrete_solution(self):
         # the space-time solve approaches expm(-tau L) psi0 as the time
         # register grows; pinning psi0 at tau1 = T instead left an O(1)

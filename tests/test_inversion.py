@@ -335,6 +335,27 @@ class TestSpaceTimeSystem:
                     assert np.array_equal(got, kept), name
                     assert np.array_equal(first, before), name
 
+    @pytest.mark.parametrize("n_tau1", [1, 2, 3])
+    def test_block_sweep_matches_dense_sylvester(self, n_tau1):
+        # _block_solver, forward and adjoint, against the dense Kronecker
+        # form of Ct Z + Z T = F and Ct^T Z + Z T^T = F on row-major
+        # vectors; this market's L has 2 x 2 Schur blocks
+        p = params(sigma=0.7, r=0.03)
+        spec = qa.grid_spec_direct(p, 4, n_tau1)
+        ops = qa.build_operators(spec, p)
+        T, _ = qa.inversion.schur((ops.C_eta1 + ops.C_eta2).T, output="real")
+        assert {hi - lo for lo, hi in qa.inversion._schur_blocks(T)} == {1, 2}
+        solve = qa.inversion._block_solver(ops.Ct.data, T)
+        Ct = ops.Ct.toarray()
+        I_t, I_x = np.eye(spec.N_tau1), np.eye(spec.N_eta)
+        F = np.random.default_rng(n_tau1).normal(
+            size=(spec.N_tau1, spec.N_eta))
+        for adjoint, S in ((False, np.kron(Ct, I_x) + np.kron(I_t, T.T)),
+                           (True, np.kron(Ct.T, I_x) + np.kron(I_t, T))):
+            ref = np.linalg.solve(S, F.reshape(-1))
+            got = solve(F, None, adjoint).reshape(-1)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("Ct, s", [
         ([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], -1.0),
         ([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], 1j),
