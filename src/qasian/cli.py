@@ -106,6 +106,12 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 MINIMUM = {"extraction.ae_eps": 0, "extraction.seed": 0, "oracle.seed": 0,
            "oracle.n_steps": 1, "oracle.n_paths": 1000}
 
+#: Greatest value of each bounded numeric leaf: an error above 1 bounds
+#: nothing for an amplitude in [0, 1], and a register of more qubits
+#: than this has a size 2^n that no float holds.
+MAXIMUM = {"extraction.ae_eps": 1, "n_eta": sys.float_info.max_exp - 1,
+           "n_tau1": sys.float_info.max_exp - 1}
+
 #: Values each enumerated str leaf accepts.
 CHOICES = {"extraction.ae_mode": extraction.AE_MODES}
 
@@ -114,7 +120,8 @@ def _check_config(cfg, default, prefix=""):
     """Reject unknown keys at every level of cfg, values of the wrong
     type (an int leaf takes integers, a float leaf finite reals, integers
     included, a str leaf strings, and a NULLABLE leaf None as well),
-    values below their MINIMUM and values outside their CHOICES."""
+    values below their MINIMUM or above their MAXIMUM, and values outside
+    their CHOICES."""
     for key, value in cfg.items():
         name = prefix + key
         if key not in default:
@@ -133,6 +140,9 @@ def _check_config(cfg, default, prefix=""):
         if name in MINIMUM and value < MINIMUM[name]:
             raise ValidationError(f"config {name} must be >= "
                                   f"{MINIMUM[name]}, got {value!r}")
+        if name in MAXIMUM and value is not None and value > MAXIMUM[name]:
+            raise ValidationError(f"config {name} must be <= "
+                                  f"{MAXIMUM[name]}, got {value!r}")
         if name in CHOICES and value not in CHOICES[name]:
             raise ValidationError(f"config {name} must be one of "
                                   f"{', '.join(CHOICES[name])}, "

@@ -24,7 +24,6 @@ from scipy.linalg import schur
 from scipy.linalg.blas import dgemm, dnrm2
 from scipy.linalg.lapack import (dgetrf, dgetrs, dgttrf, dgttrs, dstebz,
                                  dstein, zgetrf, zgetrs, zgttrf, zgttrs)
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import (AliasingError, DimensionCapError, NormConvergenceError,
                      SingularFactorError, ValidationError)
@@ -222,9 +221,10 @@ class SpaceTimeSystem:
 
     The split of the dense reference assembly follows from M without
     forming it: A + B = (I (x) A1^-1) M, A = I (x) A2, B = (A + B) - A and
-    W = I + A^-1 B = (I (x) A2^-1) (A + B).  They are kept as real
-    LinearOperators (`AB`, `AB_inv`, `B`, `W`, `W_inv`); a complex vector
-    is applied as its real and imaginary parts.  With
+    W = I + A^-1 B = (I (x) A2^-1) (A + B).  They are kept as real maps
+    of grids (`AB`, `AB_inv`, `B`, `W`, `W_inv`): op(X, adjoint) applies
+    the operator, or with adjoint true its transpose, to a real
+    (N_tau1, N_eta) grid X and returns the image grid.  With
     M^-1 X = S^-1 (X V) V^T, (A + B)^-1 = M^-1 (I (x) A1) is one map of
     _inverse, X -> S^-1 (X G_in) G_out^T with G_in = A1 V and G_out = V:
     one dgemm into the sweep and one out of it.  W^-1 is
@@ -237,13 +237,13 @@ class SpaceTimeSystem:
     Y = X V: an orthogonal V changes no norm, and M^-1 (I (x) P) is then
     Y -> S^-1 (Y G), G = V^T P^T V formed once for P = A1 and for
     P = A1 A2 = C_eta1, the same _inverse with no output product
-    (`AB_inv_schur`, `W_inv_schur`).  Both runs start from _norm2's
-    default vector mapped by V, the image of the physical runs' start,
-    so they take the same number of steps as the physical runs would.
-    The operators close over the factors, never over the system, so that
-    a system holds no reference to itself and is freed as soon as its
-    caller drops it.  The object stands for W x = rhs_pre: `system @ x`
-    is W x and `system.solve(r)` is W^-1 r.
+    (`AB_inv_schur`, `W_inv_schur`).  Both runs start from the image
+    under V of the physical runs' start grid, so they take the same
+    number of steps as the physical runs would.  The maps close over the
+    factors, never over the system, so that a system holds no reference
+    to itself and is freed as soon as its caller drops it.  The object
+    stands for W x = rhs_pre on flat vectors of length dim:
+    `system @ x` is W x and `system.solve(r)` is W^-1 r.
     """
 
     def __init__(self, spec, params, kink_shift=0.0):
@@ -251,7 +251,7 @@ class SpaceTimeSystem:
         ops = grid_mod.build_operators(spec, params, kink_shift=kink_shift)
         self.spec = spec
         self.norm_b = ops.norm_b
-        shape = (spec.N_tau1, spec.N_eta)
+        self.shape = shape = (spec.N_tau1, spec.N_eta)
         Ct = ops.Ct
         Lt = (ops.C_eta1 + ops.C_eta2).T
         T, V = schur(Lt, output="real")
@@ -279,39 +279,36 @@ class SpaceTimeSystem:
             return apply(X, False) * a1_inv
 
         G_AB = V * np.diag(ops.A1)[:, None]  # A1 V, A1 diagonal
-        ab_inv = _inverse(solve_schur, G_AB, V)
-        self.AB = _operator(shape, ab)
-        self.AB_inv = _operator(shape, ab_inv)
-        self.B = _operator(shape, lambda X, adjoint: (
-            ab(X, adjoint) - apply_A(X, adjoint)))
-        self.W = _operator(shape, _compose(apply_A2_inv, ab))
-        self.W_inv = _operator(shape, _compose(ab_inv, apply_A))
+        self.AB = ab
+        self.AB_inv = _inverse(solve_schur, G_AB, V)
+        self.B = lambda X, adjoint: ab(X, adjoint) - apply_A(X, adjoint)
+        self.W = _compose(apply_A2_inv, ab)
+        self.W_inv = _compose(self.AB_inv, apply_A)
         self.V = V
-        self.AB_inv_schur = _operator(shape, _inverse(
-            solve_schur, dgemm(1.0, V, G_AB, trans_a=1), None))
-        self.W_inv_schur = _operator(shape, _inverse(solve_schur, dgemm(
-            1.0, V, dgemm(1.0, ops.C_eta1, V, trans_a=1), trans_a=1), None))
+        self.AB_inv_schur = _inverse(
+            solve_schur, dgemm(1.0, V, G_AB, trans_a=1), None)
+        self.W_inv_schur = _inverse(solve_schur, dgemm(
+            1.0, V, dgemm(1.0, ops.C_eta1, V, trans_a=1), trans_a=1), None)
         self.rhs_pre = apply_A2_inv(
             ops.rhs_hat.reshape(shape) * a1_inv, False).reshape(-1)
 
     def __matmul__(self, x):
-        return self.W @ x
+        return self.W(x.reshape(self.shape), False).reshape(-1)
 
     def solve(self, rhs_pre):
         """W^-1 rhs_pre, through one Sylvester solve of M."""
-        return self.W_inv @ rhs_pre
+        return self.W_inv(rhs_pre.reshape(self.shape), False).reshape(-1)
 
     def report(self):
         """Condition numbers and bound terms from largest singular values.
 
-        Every run starts from _norm2's default vector; the inverse norms,
-        taken in Schur coordinates (AB_inv_schur, W_inv_schur), start from
-        its image under V, so each of their runs is the image of the
-        physical operator's run under an orthogonal map.
+        Every run starts from the grid of _start_vector(dim); the inverse
+        norms, taken in Schur coordinates (AB_inv_schur, W_inv_schur),
+        start from its image under V, so each of their runs is the image
+        of the physical operator's run under an orthogonal map.
         """
-        shape = (self.spec.N_tau1, self.spec.N_eta)
-        start = _start_vector(self.spec.dim)
-        start_schur = dgemm(1.0, start.reshape(shape), self.V).reshape(-1)
+        start = _start_vector(self.spec.dim).reshape(self.shape)
+        start_schur = dgemm(1.0, start, self.V)
         norm_B = _norm2(self.B, start)
         norm_AB_inv = _norm2(self.AB_inv_schur, start_schur)
         # ||A^-1|| = ||A2^-1||, the reciprocal of A2's smallest eigenvalue
@@ -322,21 +319,6 @@ class SpaceTimeSystem:
                      * _norm2(self.W_inv_schur, start_schur)),
             C_AB=1.0 + norm_AB_inv * norm_B,
             C_AB_prime=1.0 + norm_A_inv * norm_B)
-
-
-def _operator(shape, on_grid):
-    """Real LinearOperator on flat vectors of on_grid(X, adjoint), a real
-    map of grids; a complex vector is mapped as its two real parts."""
-    dim = shape[0] * shape[1]
-
-    def on_vector(adjoint):
-        def real(x):
-            return on_grid(x.reshape(shape), adjoint).reshape(-1)
-        # no recursion: a self-referencing closure would be a cycle
-        return lambda x: (real(x.real) + 1j * real(x.imag)
-                          if np.iscomplexobj(x) else real(x))
-    return LinearOperator((dim, dim), dtype=float, matvec=on_vector(False),
-                          rmatvec=on_vector(True))
 
 
 def _compose(outer, inner):
@@ -494,12 +476,14 @@ def _block_solver(band, T):
     return solve
 
 
-def _norm2(op, v=None):
-    """Largest singular value of a real LinearOperator.
+def _norm2(op, v):
+    """Largest singular value of a real linear map of grids.
 
-    Golub-Kahan-Lanczos bidiagonalisation (Golub and Kahan, SIAM J.
-    Numer. Anal. B 2(2), 1965) from v, by default a fixed-seed normal
-    draw: op V_k = U_k B_k with B_k upper bidiagonal (alpha on the
+    op(X, adjoint) returns the image of the grid X, or with adjoint true
+    its image under the transpose, as a grid of X's shape; v is the start
+    grid, which need not be normalised.  Golub-Kahan-Lanczos
+    bidiagonalisation (Golub and Kahan, SIAM J. Numer. Anal. B 2(2),
+    1965): op V_k = U_k B_k with B_k upper bidiagonal (alpha on the
     diagonal, beta above it), one forward and one adjoint product per
     step.  Only the current v, u and residual are kept, with no
     reorthogonalisation: the plain recurrence loses orthogonality only
@@ -514,10 +498,8 @@ def _norm2(op, v=None):
     invariant and theta exact; a run that has not stopped after
     NORM_STEPS steps raises NormConvergenceError.
     """
-    if v is None:
-        v = _start_vector(op.shape[1])
     v = v / dnrm2(v)
-    u = op.matvec(v)
+    u = op(v, False)
     alpha = dnrm2(u)
     if alpha == 0.0:
         return 0.0
@@ -527,7 +509,7 @@ def _norm2(op, v=None):
     d[0] = alpha * alpha
     for k in range(1, NORM_STEPS + 1):
         u = u / alpha
-        r = op.rmatvec(u) - alpha * v
+        r = op(u, True) - alpha * v
         beta = dnrm2(r)
         theta, y_k = _top_left(d[:k], e[:k - 1])
         if beta * abs(y_k) <= NORM_TOL * theta:
@@ -535,7 +517,7 @@ def _norm2(op, v=None):
         if k == NORM_STEPS:
             break
         v = r / beta
-        u = op.matvec(v) - beta * u
+        u = op(v, False) - beta * u
         alpha = dnrm2(u)
         d[k - 1] += beta * beta
         d[k], e[k - 1] = alpha * alpha, beta * alpha
@@ -548,7 +530,8 @@ def _norm2(op, v=None):
 
 
 def _start_vector(n):
-    """_norm2's default start: a fixed-seed normal draw of length n."""
+    """The condition report's start: a fixed-seed normal draw of length
+    n, reshaped to the grid by its caller."""
     return np.random.default_rng(0).standard_normal(n)
 
 

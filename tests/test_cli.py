@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import os
 
 from hypothesis import HealthCheck, given, settings, strategies as hs
 import numpy as np
 import pytest
 
-from qasian import cli, extraction, grid, inversion
+from qasian import cli, extraction, grid, inversion, oracle
 from qasian.errors import ValidationError
 
 
@@ -206,8 +207,8 @@ class TestExitCodes:
         ({"params": {"sigma": 1e-200}}, 3,
          "numerical failure: ZeroDivisionError"),
         ({"params": {"sigma": 1e200}}, 3, "numerical failure: OverflowError"),
-        ({"params": {"sigma": 1.0}, "extraction": {"ae_eps": 1e300}}, 3,
-         "numerical failure: OverflowError"),
+        ({"params": {"sigma": 1.0}, "extraction": {"ae_eps": 1e300}}, 2,
+         "validation error: config extraction.ae_eps must be <= 1"),
         ({"params": {"sigma": 1.0, "eta_max": 1e300}}, 2,
          "validation error: initial profile's squared norm overflows"),
     ], ids=["sigma-squared-underflows", "sigma-squared-overflows",
@@ -271,11 +272,18 @@ class TestExitCodes:
         ({"extraction": {"ae_mode": "bogus"}}, "solve", "extraction.ae_mode"),
         ({"n_tau1": 0}, "price", "n_tau1 must be >= 1"),
         ({"n_tau1": -3}, "price", "n_tau1 must be >= 1"),
+        ({"extraction": {"ae_eps": 1.5}}, "price", "extraction.ae_eps"),
+        ({"extraction": {"ae_eps": 1e300}}, "solve", "extraction.ae_eps"),
+        ({"n_eta": 1024}, "price", "config n_eta must be <= 1023"),
+        ({"n_tau1": 1024}, "price", "config n_tau1 must be <= 1023"),
+        ({"n_tau1": 10 ** 6}, "build", "config n_tau1 must be <= 1023"),
     ], ids=["negative-ae-eps", "negative-ae-eps-stochastic",
             "negative-extraction-seed", "negative-oracle-seed",
             "zero-steps", "negative-steps", "too-few-paths",
             "unknown-ae-mode", "unknown-ae-mode-solve", "zero-n-tau1",
-            "negative-n-tau1"])
+            "negative-n-tau1", "ae-eps-above-one", "huge-ae-eps-solve",
+            "n-eta-past-float-range", "n-tau1-past-float-range",
+            "huge-n-tau1-build"])
     def test_out_of_range(self, tmp_path, capsys, monkeypatch, config,
                           command, key):
         # a value outside its key's range ends on exit 2 naming the key,
@@ -293,6 +301,13 @@ class TestExitCodes:
             "extraction": {"ae_eps": 0.0, "seed": 0},
             "oracle": {"seed": 0, "n_steps": 1, "n_paths": 1000}})
         assert cfg["oracle"]["n_paths"] == 1000
+
+    def test_range_maximum_accepted(self):
+        # each key's greatest value passes the check: 2^1023 is the
+        # largest power of two a float holds
+        cfg = cli.load_config(overrides={
+            "n_eta": 1023, "n_tau1": 1023, "extraction": {"ae_eps": 1.0}})
+        assert (cfg["n_eta"], cfg["n_tau1"]) == (1023, 1023)
 
     def test_norm_step_bound(self, tmp_path, capsys, monkeypatch):
         # a condition report that does not converge within its step bound
@@ -454,3 +469,44 @@ class TestDeterminism:
         cfg = json.loads((tmp_path / "defaults.json").read_text())
         assert cfg["extraction"]["ae_eps"] == 1e-6
         assert cfg["n_eta"] == 3
+
+
+def _price(tmp_path, n_eta, **market):
+    """cli.run_pipeline's price on a market that differs from the
+    defaults by `market`, and its MarketParams."""
+    cfg = cli.load_config(overrides={"params": market, "n_eta": n_eta,
+                                     "outdir": str(tmp_path)})
+    _, _, quote = cli.run_pipeline(cfg)
+    return quote.value, grid.MarketParams(**cfg["params"])
+
+
+class TestOpenPriceFaults:
+    # the pipeline's two known price faults, with their tolerances fixed
+    # before any fix: each test passes once its fault is mended
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: the antiperiodic eta basis wraps the upper edge "
+        "onto the lower one, so the price converges to about 0.2206"))
+    def test_call_price_matches_crank_nicolson(self, tmp_path):
+        # sigma = 1, r = 0.05, n_eta = 7 against the Crank-Nicolson psi at
+        # eta0 = -1, tau1 = T on a 2048^2 grid (0.2297; the pipeline
+        # priced 0.2210 and the sine-basis prototype 0.2301)
+        value, p = _price(tmp_path, 7, sigma=1.0, r=0.05)
+        lattice, eta, tau1 = oracle.crank_nicolson_solve(p, 2048, 2048)
+        eta0, _ = oracle.eta_of(1.0, 0.0, 0.0, p)
+        cn = oracle.cn_interpolate(lattice, eta, tau1, eta0, p.T)
+        assert abs(value - cn) <= 0.002
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: only the call's initial profile vanishes at the "
+        "eta edges, so the average-rate put is priced far off"))
+    def test_average_rate_put_call_parity(self, tmp_path):
+        # call - put = e^{-rT} eta0 + (1 - e^{-rT}) / (rT) at S0 = 1,
+        # q = 0: 0.02418 here; the pipeline's difference was 0.0577
+        call, p = _price(tmp_path / "call", 6, sigma=1.0,
+                         kind="avg_rate_call")
+        put, _ = _price(tmp_path / "put", 6, sigma=1.0, kind="avg_rate_put")
+        eta0, _ = oracle.eta_of(1.0, 0.0, 0.0, p)
+        growth = math.exp(-p.r * p.T)
+        parity = growth * eta0 + (1.0 - growth) / (p.r * p.T)
+        assert abs((call - put) - parity) <= 0.002

@@ -1,12 +1,13 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 import qasian as qa
 from qasian.errors import (AliasingError, NormConvergenceError,
@@ -19,6 +20,17 @@ def params(**kw):
     base = dict(sigma=1.0, r=0.05, q=0.0, T=1.0, K=1.0, eta_max=4.0)
     base.update(kw)
     return qa.MarketParams(**base)
+
+
+def test_import_leaves_out_sparse_linalg():
+    # the package needs no scipy.sparse.linalg (LinearOperator, ARPACK):
+    # a fresh interpreter's `import qasian` does not load it
+    code = "import sys, qasian; print('scipy.sparse.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(qa.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestWindowState:
@@ -146,6 +158,22 @@ class TestPrecondition:
         assert np.linalg.norm(M @ x - rhs_hat) < 1e-9
 
 
+def as_map(A):
+    """The matrix A as a map of vectors, the form _norm2 takes: x -> A x,
+    or with adjoint true A^T x."""
+    return lambda x, adjoint: A.T @ x if adjoint else A @ x
+
+
+def start(n):
+    """The condition report's start vector of length n."""
+    return qa.inversion._start_vector(n)
+
+
+def on_vector(op, x, adjoint, shape):
+    """A system's map of grids applied to the flat vector x."""
+    return op(x.reshape(shape), adjoint).reshape(-1)
+
+
 def _dense_reference(spec, p, kink_shift):
     """Solution and report from the dense assembled system."""
     M, rhs_hat, A, B = assemble_system(spec, p, kink_shift=kink_shift)
@@ -204,10 +232,12 @@ class TestSpaceTimeSystem:
         M = assemble_system(spec, p)[0]
         a1 = np.tile(np.diag(qa.build_A1(spec, p)), spec.N_tau1)
         rng = np.random.default_rng(n_tau1)
-        x = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        x = rng.normal(size=spec.dim)
         for got, ref in (
-                (W.AB_inv.matvec(x), np.linalg.solve(M, a1 * x)),
-                (W.AB_inv.rmatvec(x), a1 * np.linalg.solve(M.conj().T, x))):
+                (on_vector(W.AB_inv, x, False, W.shape),
+                 np.linalg.solve(M, a1 * x)),
+                (on_vector(W.AB_inv, x, True, W.shape),
+                 a1 * np.linalg.solve(M.T, x))):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n_tau1", [1, 2, 3])
@@ -237,28 +267,39 @@ class TestSpaceTimeSystem:
         x = np.random.default_rng(n_tau1).normal(size=spec.dim)
         for name, ref in dense.items():
             op = getattr(W, name)
-            assert op.dtype == np.float64, name
-            for got, want in ((op.matvec(x), ref @ x),
-                              (op.rmatvec(x), ref.T @ x)):
+            for got, want in ((on_vector(op, x, False, W.shape), ref @ x),
+                              (on_vector(op, x, True, W.shape), ref.T @ x)):
                 assert got.dtype == np.float64, name
                 assert np.linalg.norm(got - want) <= \
                     1e-12 * np.linalg.norm(want), name
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(sigma=st.floats(0.2, 3.0), r=st.floats(0.0, 0.1),
-           n_eta=st.integers(2, 4), n_tau1=st.integers(1, 3))
-    def test_block_path_matches_dense(self, sigma, r, n_eta, n_tau1):
-        # the per-block tridiagonal solves, forward and adjoint, against
-        # dense solves of M on random small markets
+           n_eta=st.integers(2, 4), n_tau1=st.integers(1, 3),
+           kink_shift=st.floats(-0.5, 0.5))
+    def test_block_path_matches_dense(self, sigma, r, n_eta, n_tau1,
+                                      kink_shift):
+        # on random small markets: the per-block tridiagonal solves,
+        # forward and adjoint, against dense solves of M; and the whole
+        # pricing solve, solution and report, against the dense assembly
         p = params(sigma=sigma, r=r)
         spec = qa.grid_spec_direct(p, n_eta, n_tau1)
         W = qa.inversion.SpaceTimeSystem(spec, p)
         M = assemble_system(spec, p)[0]
         a1 = np.tile(np.diag(qa.build_A1(spec, p)), spec.N_tau1)
         x = np.random.default_rng(n_eta).normal(size=spec.dim)
-        for got, ref in ((W.AB_inv.matvec(x), np.linalg.solve(M, a1 * x)),
-                         (W.AB_inv.rmatvec(x), a1 * np.linalg.solve(M.T, x))):
+        for got, ref in ((on_vector(W.AB_inv, x, False, W.shape),
+                          np.linalg.solve(M, a1 * x)),
+                         (on_vector(W.AB_inv, x, True, W.shape),
+                          a1 * np.linalg.solve(M.T, x))):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        sol, _, rep = qa.solve_pricing_system(spec, p, kink_shift=kink_shift)
+        sol_ref, rep_ref = _dense_reference(spec, p, kink_shift)
+        assert np.linalg.norm(sol - sol_ref) <= \
+            1e-10 * np.linalg.norm(sol_ref)
+        for field in ("kappa_raw", "kappa_W", "C_AB", "C_AB_prime"):
+            got, ref = getattr(rep, field), getattr(rep_ref, field)
+            assert abs(got - ref) <= 1e-10 * ref, field
 
     @pytest.mark.parametrize("n_tau1", [1, 2, 3])
     def test_schur_maps_match_dense(self, n_tau1):
@@ -276,7 +317,8 @@ class TestSpaceTimeSystem:
             op = getattr(W, name)
             ref = Q.T @ np.linalg.solve(P, Q @ x)
             ref_adj = Q.T @ np.linalg.solve(P.T, Q @ x)
-            for got, want in ((op.matvec(x), ref), (op.rmatvec(x), ref_adj)):
+            for got, want in ((on_vector(op, x, False, W.shape), ref),
+                              (on_vector(op, x, True, W.shape), ref_adj)):
                 assert np.linalg.norm(got - want) <= \
                     1e-12 * np.linalg.norm(want), name
 
@@ -290,25 +332,19 @@ class TestSpaceTimeSystem:
         spec = qa.make_grid(p, 6, 1e-3)
         assert (spec.N_tau1, spec.N_eta) == (128, 64)
         W = qa.inversion.SpaceTimeSystem(spec, p)
-        shape = (spec.N_tau1, spec.N_eta)
-
-        def conjugated(product, x):
-            """Q product(Q^T x) on grids: X -> product(X V) V^T."""
-            Y = product((x.reshape(shape) @ W.V).reshape(-1))
-            return (Y.reshape(shape) @ W.V.T).reshape(-1)
-        x = np.random.default_rng(6).normal(size=spec.dim)
+        X = np.random.default_rng(6).normal(size=W.shape)
         for name in ("AB_inv", "W_inv"):
             op, schur_op = getattr(W, name), getattr(W, name + "_schur")
-            for got, want in (
-                    (op.matvec(x), conjugated(schur_op.matvec, x)),
-                    (op.rmatvec(x), conjugated(schur_op.rmatvec, x))):
+            forward = getattr(W, name[:-len("_inv")])
+            for adjoint in (False, True):
+                # Q (Schur map) Q^T on grids: X -> schur_op(X V) V^T
+                got = op(X, adjoint)
+                want = schur_op(X @ W.V, adjoint) @ W.V.T
                 assert np.linalg.norm(got - want) <= \
                     1e-12 * np.linalg.norm(want), name
-            forward = getattr(W, name[:-len("_inv")])
-            for round_trip in (forward.matvec(op.matvec(x)),
-                               forward.rmatvec(op.rmatvec(x))):
-                assert np.linalg.norm(round_trip - x) <= \
-                    1e-9 * np.linalg.norm(x), name
+                round_trip = forward(got, adjoint)
+                assert np.linalg.norm(round_trip - X) <= \
+                    1e-9 * np.linalg.norm(X), name
         # W^-1 applies A2 before A1 V and the sweep: the pricing solve's
         # residual measured 1.2e-13, and 9.2e-13 with A2 folded into A1 V
         x = W.solve(W.rhs_pre)
@@ -321,19 +357,16 @@ class TestSpaceTimeSystem:
         p = params(sigma=0.7, r=0.03)
         spec = qa.grid_spec_direct(p, 4, 2)
         W = qa.inversion.SpaceTimeSystem(spec, p)
-        rng = np.random.default_rng(4)
-        x, x2 = rng.normal(size=(2, spec.dim))
-        z = x + 1j * x2
+        x, x2 = np.random.default_rng(4).normal(size=(2, *W.shape))
+        before = x.copy()
         for name in ("AB_inv", "W_inv", "AB_inv_schur", "W_inv_schur"):
             op = getattr(W, name)
-            for product in (op.matvec, op.rmatvec):
-                for first in (x, z):
-                    before = first.copy()
-                    got = product(first)
-                    kept = got.copy()
-                    product(x2)
-                    assert np.array_equal(got, kept), name
-                    assert np.array_equal(first, before), name
+            for adjoint in (False, True):
+                got = op(x, adjoint)
+                kept = got.copy()
+                op(x2, adjoint)
+                assert np.array_equal(got, kept), name
+                assert np.array_equal(x, before), name
 
     @pytest.mark.parametrize("n_tau1", [1, 2, 3])
     def test_block_sweep_matches_dense_sylvester(self, n_tau1):
@@ -462,7 +495,8 @@ class TestNorm2:
         dense["W_inv_schur"] = dense["W_inv"]
         for name, ref in dense.items():
             want = np.linalg.norm(ref, 2)
-            got = qa.inversion._norm2(getattr(W, name))
+            got = qa.inversion._norm2(getattr(W, name),
+                                      start(spec.dim).reshape(W.shape))
             assert abs(got - want) <= 1e-12 * want, name
 
     @pytest.mark.parametrize("market,grid_args,counts", [
@@ -482,17 +516,13 @@ class TestNorm2:
         norm2 = qa.inversion._norm2
         got = []
 
-        def counting_norm2(op, v=None):
+        def counting_norm2(op, v):
             n = [0]
 
-            def counted(product):
-                def call(x):
-                    n[0] += 1
-                    return product(x)
-                return call
-            value = norm2(LinearOperator(op.shape, dtype=op.dtype,
-                                         matvec=counted(op.matvec),
-                                         rmatvec=counted(op.rmatvec)), v)
+            def counted(X, adjoint):
+                n[0] += 1
+                return op(X, adjoint)
+            value = norm2(counted, v)
             got.append(n[0])
             return value
         monkeypatch.setattr(qa.inversion, "_norm2", counting_norm2)
@@ -523,7 +553,7 @@ class TestNorm2:
         V = np.linalg.qr(rng.normal(size=(n, n)))[0]
         A = (U * s) @ V.T
         assert np.linalg.norm(A @ A.T - A.T @ A) > 0.1
-        assert abs(qa.inversion._norm2(aslinearoperator(A)) - 1.0) <= 1e-12
+        assert abs(qa.inversion._norm2(as_map(A), start(n)) - 1.0) <= 1e-12
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("A,v,want", [
@@ -536,8 +566,9 @@ class TestNorm2:
     ], ids=["alpha1-zero", "beta1-zero", "alpha2-zero", "dim5"])
     def test_breakdown(self, A, v, want):
         want = np.linalg.norm(A, 2) if want is None else want
+        v = start(len(A)) if v is None else v
         with np.errstate(all="raise"):
-            got = qa.inversion._norm2(aslinearoperator(A), v)
+            got = qa.inversion._norm2(as_map(A), v)
         assert abs(got - want) <= 1e-12 * max(want, 1.0)
 
     def test_memory_independent_of_steps(self):
@@ -546,10 +577,9 @@ class TestNorm2:
         n = 2 ** 15
         d = np.linspace(0.0, 1.0, n)
         d[-1] = 1.01
-        op = aslinearoperator(sp.diags(d))
         tracemalloc.start()
         try:
-            got = qa.inversion._norm2(op)
+            got = qa.inversion._norm2(lambda x, adjoint: d * x, start(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -560,7 +590,7 @@ class TestNorm2:
         A = np.diag(np.linspace(1.0, 2.0, 50))
         monkeypatch.setattr(qa.inversion, "NORM_STEPS", 2)
         with pytest.raises(NormConvergenceError, match="2 Golub-Kahan"):
-            qa.inversion._norm2(aslinearoperator(A))
+            qa.inversion._norm2(as_map(A), start(len(A)))
 
 
 class TestSolveSystem:
