@@ -10,7 +10,7 @@ from .errors import (QasianError, ValidationError, InfeasibleScaleError,
                      NormConvergenceError)
 from .grid import (MarketParams, GridSpec, OperatorSet, make_grid,
                    grid_spec_direct, build_time_derivative,
-                   build_eta_operator, build_centered_dft,
+                   build_eta_operator, build_dst, build_dct,
                    build_spectral_derivative, build_A1, build_A2,
                    build_rhs, build_operators,
                    eta_nodes, tau1_nodes, psi0)

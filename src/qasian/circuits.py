@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .errors import ValidationError, PostSelectionWarning
-from .grid import build_centered_dft, eta_hat_diagonal
+from .grid import build_dct, build_dst, eta_hat_diagonal
 
 
 @dataclass
@@ -200,16 +200,16 @@ def encode_eta(spec):
 
 
 def encode_spectral(spec):
-    """Block-encoding of F_c^dag eta_hat F_c by exact conjugation.
+    """Block-encoding of C^T diag(0..N-1) X S = D_eta/(pi/(2*eta_max)).
 
-    alpha and the error bound are unchanged by unitary conjugation.
+    diag(0..N-1)'s encoding times the orthogonal C^T on the left and X S
+    on the right (on the system register): alpha and err are unchanged.
     """
-    base = encode_eta(spec)
-    F = build_centered_dft(spec.n_eta)
-    d = F.shape[0]
-    anc = base.unitary.shape[0] // d
-    Fd = np.kron(np.eye(anc), F)
-    return BlockEncoding(Fd.conj().T @ base.unitary @ Fd,
+    n = spec.n_eta
+    base = encode_diagonal(np.diag(np.arange(2.0 ** n)), n)
+    anc = np.eye(2 ** base.n_anc)
+    return BlockEncoding(np.kron(anc, build_dct(n).T) @ base.unitary
+                         @ np.kron(anc, cyclic_shift(n, 1) @ build_dst(n)),
                          base.alpha, base.n_anc, base.err)
 
 

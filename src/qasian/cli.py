@@ -228,7 +228,12 @@ def _write_summary(out, summary):
 
 
 def run_pipeline(cfg):
-    """Full pipeline: build, precondition, solve, extract, price."""
+    """Full pipeline: build, precondition, solve, extract, price.
+
+    A put is priced from its call's solve (oracle.PARITY_CALL) by
+    put-call parity, so its surface files show the call's surface;
+    summary.json names the solved kind in "surface_kind".
+    """
     out = _outdir(cfg)
     summary = {"stage": "build", "errors": {}}
     try:
@@ -236,15 +241,19 @@ def run_pipeline(cfg):
         S0 = cfg["oracle"]["S0"]
         if not S0 > 0:
             raise ValidationError(f"oracle.S0 must be > 0, got {S0!r}")
+        solved = grid.MarketParams(**{
+            **cfg["params"],
+            "kind": oracle.PARITY_CALL.get(params.kind, params.kind)})
         spec = _spec(cfg, params)
         summary["grid"] = {"n_eta": spec.n_eta, "n_tau1": spec.n_tau1,
                            "delta_tau1": spec.delta_tau1,
                            "delta_eta_hat": spec.delta_eta_hat}
+        summary["surface_kind"] = solved.kind
         ext_cfg = _extraction_cfg(cfg, spec, params)
 
         summary["stage"] = "solve"
         _, norm_b, report, state, est, scale = _solve_and_read(
-            cfg, spec, params)
+            cfg, spec, solved)
         with open(os.path.join(out, "condition_report.json"), "w") as fh:
             fh.write(report.to_json())
         summary["condition"] = json.loads(report.to_json())
@@ -259,10 +268,15 @@ def run_pipeline(cfg):
         _emit_extraction_csvs(out, spec, params, result)
 
         summary["stage"] = "price"
-        quote = _price_from_state(state, spec, params, cfg, est, scale)
+        quote = _price_from_state(state, spec, solved, cfg, est, scale)
         summary["extraction"]["price_ae_calls"] = est.calls - result.ae_calls
         summary["extraction"]["price_ae_cost"] = (est.total_cost
                                                   - result.ae_cost)
+        if solved.kind != params.kind:
+            offset = oracle.parity_offset(params, S0)
+            summary["parity"] = {"call_value": quote.value, "offset": offset}
+            quote = oracle.PriceQuote(quote.value - offset, quote.stderr,
+                                      "pde-parity")
         summary["price"] = {"value": quote.value, "method": quote.method}
         with open(os.path.join(out, "quotes.csv"), "w") as fh:
             fh.write("method,value,stderr\n")

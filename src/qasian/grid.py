@@ -3,7 +3,7 @@
 The pricing problem is posed on a single spatial coordinate eta (the
 average-to-underlying ratio) and the reversed time tau1 = T - t.  This
 module builds every discrete operator of the scheme: the central time
-derivative with Dirichlet ends, the spectral (centered-DFT) space
+derivative with Dirichlet ends, the spectral (sine-basis) space
 derivatives, the diffusion and drift terms, the factorized diffusion
 pieces A1 * A2, the closed time operator (as the band the solver
 factors, never as an N_tau1 x N_tau1 matrix) and the boundary-driven
@@ -15,14 +15,13 @@ Conventions used throughout the package:
 * The eta register holds cell-centered nodes eta_x = eta_max * s_x with
   s_x = -1 + delta_hat/2 + x*delta_hat, delta_hat = 2/2^n_eta, in
   ascending order.
-* The centered DFT uses half-integer frequency/position indices in
-  ascending order; it spans antiperiodic functions exp(i*pi*k*eta/eta_max)
-  with half-integer k.
-* Every operator of the system is real (float64).  A2's multiplier
-  eta_hat^2/delta_hat^2 is even in k and D_eta's i*eta_hat is odd, so
-  their Fourier products are real (fourier_multiplier checks this), and
-  the system Ct (x) I + I (x) (C_eta1 + C_eta2) is solved in real
-  arithmetic.
+* Space derivatives are taken in the sine basis
+  sin(pi*k*(eta + eta_max)/(2*eta_max)), k = 1..N_eta, zero at both
+  edges, as the Crank-Nicolson oracle's frozen edge rows are.  On the
+  nodes it is the orthonormal DST-II S, and its derivatives are read in
+  the orthonormal DCT-II C.  So every operator of the system is real
+  (float64), A2 = S^T diag((k/2)^2) S, and the system
+  Ct (x) I + I (x) (C_eta1 + C_eta2) is solved in real arithmetic.
 * Time nodes are the interior points tau1_t = (t+1)*delta_tau1 with
   delta_tau1 = T/(2^n_tau1 + 1), t = 0..N_tau1-1.  The slice tau1 = 0
   carries the initial profile psi0 and is folded into the right-hand
@@ -43,7 +42,7 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg.blas import zgemm
+from scipy.linalg.blas import dgemm
 from scipy.sparse import dia_array
 
 from .errors import InfeasibleScaleError, ValidationError
@@ -347,57 +346,56 @@ def eta_from_pauli(pauli, n):
     return diag
 
 
-def build_centered_dft(n):
-    """Centered DFT over half-integer indices, ascending order; unitary."""
+def _cell_waves(n, wave, freqs, half_row):
+    """sqrt(2/N) wave(pi*f*(2x+1)/(2N)) for the rows f of freqs and the
+    nodes x = 0..N-1, with row half_row scaled by 1/sqrt(2).  The phase
+    is reduced mod 2 pi in integers, so it is exact to one rounding."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     N = 2 ** n
-    half = np.arange(N) - (N - 1) / 2.0
-    phase = np.outer(half, half)
-    return np.exp(-2j * np.pi * phase / N) / np.sqrt(N)
+    m = math.sqrt(2.0 / N) * wave(
+        np.pi / (2 * N) * (np.outer(freqs, 2 * np.arange(N) + 1) % (4 * N)))
+    m[half_row] /= math.sqrt(2.0)
+    return m
 
 
-#: Largest imaginary part, relative to the largest real entry, that
-#: fourier_multiplier drops as rounding.
-IMAG_TOL = 1e-12
+def build_dst(n):
+    """Orthonormal DST-II S on 2^n nodes, rows k = 1..N, as
+    scipy.fft.dst(type=2, norm="ortho"): row k samples
+    sin(pi*k*(eta + eta_max)/(2*eta_max))."""
+    return _cell_waves(n, np.sin, np.arange(1, 2 ** n + 1), -1)
 
 
-def fourier_multiplier(n, d):
-    """F_c^dag diag(d) F_c on n qubits, as a real matrix.
+def build_dct(n):
+    """Orthonormal DCT-II C on 2^n nodes, rows j = 0..N-1, as
+    scipy.fft.dct(type=2, norm="ortho")."""
+    return _cell_waves(n, np.cos, np.arange(2 ** n), 0)
 
-    D_eta, A2 and A2^-1 are built so.  Over the symmetric half-integer
-    frequencies k, entry (x, y) is sum_k d_k exp(2 pi i k (x - y)/N)/N,
-    which is real when d is real and even in k (a cosine sum) or
-    imaginary and odd (a sine sum), as every multiplier here is.  The product is
-    formed in complex arithmetic, by scipy's zgemm (trans_a=2 is the
-    conjugate transpose) rather than numpy's own BLAS, whose thread pool
-    contends with scipy's; its imaginary part is dropped only if it is
-    rounding, otherwise ValidationError.
-    """
-    F = build_centered_dft(n)
-    m = zgemm(1.0, F, d[:, None] * F, trans_a=2)
-    if np.max(np.abs(m.imag)) > IMAG_TOL * np.max(np.abs(m.real)):
-        raise ValidationError(
-            "Fourier multiplier is not real: it must be real and even, or "
-            "imaginary and odd, over the centered frequencies")
-    return m.real.copy()
+
+def sine_multiplier(n, d):
+    """S^T diag(d) S on n qubits (A2 and A2^-1), by scipy's dgemm: numpy's
+    own BLAS has a thread pool that contends with scipy's."""
+    S = build_dst(n)
+    return dgemm(1.0, S, d[:, None] * S, trans_a=1)
 
 
 def a2_eigenvalues(spec):
-    """Eigenvalues of A2 in the centered-Fourier basis, eta_hat^2/delta_hat^2."""
-    return eta_hat_diagonal(spec.n_eta) ** 2 / spec.delta_eta_hat ** 2
+    """Eigenvalues of A2 on the sine waves k = 1..N_eta: (k/2)^2."""
+    return (np.arange(1, spec.N_eta + 1) / 2.0) ** 2
 
 
 def build_spectral_derivative(spec, params):
     """Spectral first-derivative matrix on the eta grid.
 
-    Delta_eta = i*(pi/(delta_hat*eta_max)) * F_c^dag eta_hat F_c, which
-    differentiates the antiperiodic waves exp(i*pi*k*eta/eta_max)
-    (half-integer k) exactly.  Real and antisymmetric: the multiplier
-    i*eta_hat is imaginary and odd.
+    D_eta = (pi/(2*eta_max)) C^T diag(0..N-1) X S, the exact derivative
+    of the sine interpolant: X (circuits.cyclic_shift(n, 1)) moves sine
+    k's coefficient to cosine k, and sine N's to row 0, weight 0 (its
+    cosine vanishes on the nodes).
     """
-    scale = 1j * np.pi / (spec.delta_eta_hat * params.eta_max)
-    return fourier_multiplier(spec.n_eta, scale * eta_hat_diagonal(spec.n_eta))
+    n = spec.n_eta
+    XS = np.roll(build_dst(n), 1, axis=0)  # cyclic_shift(n, 1) @ S
+    weights = np.pi / (2.0 * params.eta_max) * np.arange(spec.N_eta)
+    return dgemm(1.0, build_dct(n), weights[:, None] * XS, trans_a=1)
 
 
 def build_A1(spec, params):
@@ -407,8 +405,8 @@ def build_A1(spec, params):
 
 
 def build_A2(spec):
-    """Fourier factor A2 = F^dag eta_hat^2 F / delta_hat^2."""
-    return fourier_multiplier(spec.n_eta, a2_eigenvalues(spec))
+    """A2 = S^T diag((k/2)^2) S, that is -(eta_max/pi)^2 d^2/d eta^2."""
+    return sine_multiplier(spec.n_eta, a2_eigenvalues(spec))
 
 
 def triangular(u):
@@ -515,10 +513,11 @@ def operator_descriptor(kind, spec):
         "C_tau1": ["tridiag(+1/-1)/(2*delta_tau1)",
                    "+ closure row N-1: (1, -3, 3)/(2*delta_tau1) on columns "
                    "N-3..N-1 (tau1 = T ghost; column -1 is tau1 = 0, in the rhs)"],
-        "C_eta1": ["eta_hat^2", "F_c^dag", "eta_hat^2", "F_c"],
-        "C_eta2": ["(r-q)*eta_hat - I/(eta_max*T)", "F_c^dag", "eta_hat", "F_c"],
+        "C_eta1": ["eta_hat^2", "S^T", "(k/2)^2", "S"],
+        "C_eta2": ["(r-q)*eta_hat - I/(eta_max*T)", "C^T", "diag(0..N-1)",
+                   "X", "S"],
         "A1": ["diag(delta_tau1*pi^2*sigma^2*eta_hat^2/2)"],
-        "A2": ["F_c^dag", "eta_hat^2/delta_hat^2", "F_c"],
+        "A2": ["S^T", "(k/2)^2", "S"],
     }.get(kind, [])
     return json.dumps({
         "kind": kind,

@@ -1,7 +1,7 @@
 """Fast inversion of the diagonalizable factors and preconditioning.
 
 The system matrix splits as (A + B) with A = I (x) A2 block-diagonal in
-the centered-Fourier basis and A1 diagonal in position, so both factors
+the sine basis (DST-II) and A1 diagonal in position, so both factors
 invert exactly by reciprocating eigenvalues.  A windowed-phase-estimation
 simulation of the same inversion is provided for scaling studies: it
 works per eigenvalue (the factors' eigenbases are known analytically,
@@ -156,7 +156,8 @@ def fast_invert_exact(kind, spec, params):
     """Exact inverse of a fast-forwardable factor.
 
     kind "A1": reciprocal of the position-diagonal entries.
-    kind "A2": reciprocal eigenvalues in the centered-Fourier basis.
+    kind "A2": S^T diag((k/2)^-2) S, the reciprocal eigenvalues in the
+    sine basis (grid.a2_eigenvalues).
     """
     if kind == "A1":
         diag = np.diag(grid_mod.build_A1(spec, params))
@@ -167,7 +168,7 @@ def fast_invert_exact(kind, spec, params):
         eig = grid_mod.a2_eigenvalues(spec)
         if np.min(np.abs(eig)) < EIGEN_FLOOR:
             raise SingularFactorError("A2 eigenvalue below floor")
-        return grid_mod.fourier_multiplier(spec.n_eta, 1.0 / eig)
+        return grid_mod.sine_multiplier(spec.n_eta, 1.0 / eig)
     raise ValidationError("kind must be 'A1' or 'A2'")
 
 
@@ -177,7 +178,7 @@ def check_dim_cap(spec):
     operator is built."""
     if spec.dim > DIM_CAP:
         raise DimensionCapError(
-            f"dimension {spec.dim} exceeds cap {DIM_CAP}")
+            f"dimension 2^{spec.n_tau1 + spec.n_eta} exceeds cap {DIM_CAP}")
     if spec.N_eta ** 2 > DIM_CAP:
         raise DimensionCapError(
             f"N_eta^2 = {spec.N_eta ** 2} (the entries of each dense "

@@ -157,6 +157,26 @@ def monte_carlo_price(params, S0, n_paths, n_steps, seed=0):
     return PriceQuote(value, stderr, "mc")
 
 
+#: The call whose solve prices each put, by put-call parity.
+PARITY_CALL = {"avg_rate_put": "avg_rate_call",
+               "avg_strike_put": "avg_strike_call"}
+
+
+def parity_offset(params, S0):
+    """Call minus put today (t = 0, nothing averaged yet), in closed form.
+
+    Each pair's payoffs differ by a linear one: A - K for the average
+    rate, worth e^{-rT}(E[A] - K), and S_T - A for the average strike,
+    worth S0 e^{-qT} - e^{-rT} E[A], with E[A] from
+    closed_form_average_mean.
+    """
+    disc = np.exp(-params.r * params.T)
+    mean = closed_form_average_mean(params, S0)
+    if params.kind.startswith("avg_rate"):
+        return float(disc * (mean - params.K))
+    return float(S0 * np.exp(-params.q * params.T) - disc * mean)
+
+
 def closed_form_average_mean(params, S0):
     """E[(1/T) integral_0^T S_u du] under the risk-neutral GBM."""
     mu = params.r - params.q

@@ -236,10 +236,12 @@ def test_acceptance_09_kink_handling():
     order_on, errs_on = _kink_order(
         lambda spec: 0.0 if spec is None
         else 0.5 * spec.delta_eta_hat * market().eta_max)
-    ok = order_off >= 0.4 and (order_off - order_on) >= 0.2
+    degradation = order_off - order_on
+    ok = order_off >= 0.4 and degradation >= 0.2
     _report(9, f"kink off-node order {order_off:.2f} (need >= 0.4), "
-               f"on-node degradation {order_off - order_on:.2f} "
-               f"(need >= 0.2); errors off-node {['%.3g' % e for e in errs_off]}",
+               f"on-node degradation {degradation:.3f} (need >= 0.2, "
+               f"margin {degradation - 0.2:+.3f}); "
+               f"errors off-node {['%.3g' % e for e in errs_off]}",
             ok)
 
 

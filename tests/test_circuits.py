@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import qasian as qa
 from qasian.errors import PostSelectionWarning, ValidationError
@@ -99,22 +100,30 @@ class TestEncodeDiagonal:
 
 class TestEncodeSpectral:
     def test_projection(self):
+        # C^T diag(0..N-1) X S, with scipy's DCT-II and DST-II and X the
+        # cyclic shift by +1
         spec = qa.grid_spec_direct(params(), 2, 1)
         be = qa.encode_spectral(spec)
-        F = qa.build_centered_dft(2)
-        target = F.conj().T @ np.diag(eta_hat_diagonal(2)) @ F
+        eye = np.eye(4)
+        S = scipy.fft.dst(eye, type=2, norm="ortho", axis=0)
+        C = scipy.fft.dct(eye, type=2, norm="ortho", axis=0)
+        target = C.T @ np.diag(np.arange(4.0)) @ qa.cyclic_shift(2, 1) @ S
         assert np.max(np.abs(be.top_block() - target)) < 1e-12
+        U = be.unitary
+        assert np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) < 1e-12
 
     def test_alpha_preserved(self):
+        # the orthogonal factors leave the diagonal's alpha as it is
         spec = qa.grid_spec_direct(params(), 3, 1)
-        assert qa.encode_spectral(spec).alpha == qa.encode_eta(spec).alpha
+        diag = qa.encode_diagonal(np.diag(np.arange(8.0)), 3)
+        assert qa.encode_spectral(spec).alpha == diag.alpha
 
     def test_matches_derivative_up_to_scalar(self):
         p = params()
         spec = qa.grid_spec_direct(p, 3, 1)
         be = qa.encode_spectral(spec)
         D = qa.build_spectral_derivative(spec, p)
-        scalar = 1j * np.pi / (spec.delta_eta_hat * p.eta_max)
+        scalar = np.pi / (2 * p.eta_max)
         assert np.max(np.abs(scalar * be.top_block() - D)) < 1e-10
 
 

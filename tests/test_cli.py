@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -68,7 +69,7 @@ class TestCommands:
         assert run(tmp_path, "price") == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["grid"]["n_tau1"] == 1
-        assert summary["price"]["value"] == pytest.approx(0.0974, abs=1e-4)
+        assert summary["price"]["value"] == pytest.approx(0.0973, abs=1e-4)
 
     # the parser takes its --ae-mode choices from extraction.AE_MODES
     @pytest.mark.parametrize("mode", extraction.AE_MODES)
@@ -244,9 +245,11 @@ class TestExitCodes:
         assert "N_eta^2 = 16777216" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config,key", [
-        ({"params": {"sigma": 1.0}, "n_eta": 8}, "dimension 524288"),
+        ({"params": {"sigma": 1.0}, "n_eta": 8}, "dimension 2^19 "),
         ({"params": {"sigma": 0.002}, "n_eta": 12}, "N_eta^2 = 16777216"),
-    ], ids=["dim", "spatial"])
+        # the largest register prints as a power of two, not 310 digits
+        ({"n_tau1": 1023}, "dimension 2^1027 "),
+    ], ids=["dim", "spatial", "largest-n-tau1"])
     def test_build_dimension_cap(self, tmp_path, capsys, monkeypatch,
                                  config, key):
         # `build` holds its dense operators to the same caps as the
@@ -481,28 +484,22 @@ def _price(tmp_path, n_eta, **market):
 
 
 class TestOpenPriceFaults:
-    # the pipeline's two known price faults, with their tolerances fixed
-    # before any fix: each test passes once its fault is mended
+    # the pipeline's two former price faults, with the tolerances fixed
+    # before their fixes (the sine basis, and pricing puts by parity)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 1: the antiperiodic eta basis wraps the upper edge "
-        "onto the lower one, so the price converges to about 0.2206"))
     def test_call_price_matches_crank_nicolson(self, tmp_path):
         # sigma = 1, r = 0.05, n_eta = 7 against the Crank-Nicolson psi at
         # eta0 = -1, tau1 = T on a 2048^2 grid (0.2297; the pipeline
-        # priced 0.2210 and the sine-basis prototype 0.2301)
+        # prices 0.2301)
         value, p = _price(tmp_path, 7, sigma=1.0, r=0.05)
         lattice, eta, tau1 = oracle.crank_nicolson_solve(p, 2048, 2048)
         eta0, _ = oracle.eta_of(1.0, 0.0, 0.0, p)
         cn = oracle.cn_interpolate(lattice, eta, tau1, eta0, p.T)
         assert abs(value - cn) <= 0.002
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 2: only the call's initial profile vanishes at the "
-        "eta edges, so the average-rate put is priced far off"))
     def test_average_rate_put_call_parity(self, tmp_path):
         # call - put = e^{-rT} eta0 + (1 - e^{-rT}) / (rT) at S0 = 1,
-        # q = 0: 0.02418 here; the pipeline's difference was 0.0577
+        # q = 0: 0.02418 here
         call, p = _price(tmp_path / "call", 6, sigma=1.0,
                          kind="avg_rate_call")
         put, _ = _price(tmp_path / "put", 6, sigma=1.0, kind="avg_rate_put")
@@ -510,3 +507,30 @@ class TestOpenPriceFaults:
         growth = math.exp(-p.r * p.T)
         parity = growth * eta0 + (1.0 - growth) / (p.r * p.T)
         assert abs((call - put) - parity) <= 0.002
+
+    @pytest.mark.parametrize("kind", grid.KINDS)
+    def test_kind_matches_crank_nicolson(self, tmp_path, kind):
+        # sigma = 1, r = 0.05, n_eta = 6 against the Crank-Nicolson price
+        # at eta0, tau1 = T on a 1024^2 grid at eta_max = 8, where the
+        # puts' edge values lie far from eta0; the tolerance 0.003 was
+        # fixed before the puts were priced by parity (gaps 0.0015,
+        # 0.0005, 0.0017 and 0.0018 in KINDS order)
+        value, p = _price(tmp_path, 6, sigma=1.0, r=0.05, kind=kind)
+        wide = dataclasses.replace(p, eta_max=8.0)
+        lattice, eta, tau1 = oracle.crank_nicolson_solve(wide, 1024, 1024)
+        eta0, _ = oracle.eta_of(1.0, 0.0, 0.0, wide)
+        cn = oracle.price_from_psi(
+            oracle.cn_interpolate(lattice, eta, tau1, eta0, wide.T),
+            1.0, 0.0, 0.0, wide).value
+        assert abs(value - cn) <= 0.003
+
+    def test_put_summary_names_the_solved_call(self, tmp_path):
+        # a put's surface files show its call's surface, and summary.json
+        # says so
+        put, p = _price(tmp_path, 4, kind="avg_strike_put")
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["surface_kind"] == "avg_strike_call"
+        assert summary["price"]["method"] == "pde-parity"
+        parity = summary["parity"]
+        assert parity["offset"] == oracle.parity_offset(p, 1.0)
+        assert put == parity["call_value"] - parity["offset"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import expm
 
 import qasian as qa
@@ -81,52 +82,69 @@ class TestEtaOperator:
             assert np.allclose(eta_from_pauli(pauli, n), np.diag(op))
 
 
-class TestCenteredDft:
-    def test_n1_entries(self):
-        F = qa.build_centered_dft(1)
-        expected = np.array([
-            [np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)],
-            [np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)],
-        ]) / np.sqrt(2)
-        assert np.allclose(F, expected)
+def scipy_bases(n):
+    """(S, C): the orthonormal DST-II and DCT-II on 2^n points, by
+    scipy.fft, rows as frequencies."""
+    eye = np.eye(2 ** n)
+    return (scipy.fft.dst(eye, type=2, norm="ortho", axis=0),
+            scipy.fft.dct(eye, type=2, norm="ortho", axis=0))
 
-    def test_unitary(self):
+
+def cell_waves(spec, k):
+    """sin and cos(pi*k*(eta + eta_max)/(2*eta_max)) on the nodes, the
+    phase reduced mod 2 pi in integers."""
+    x = np.arange(spec.N_eta)
+    phase = np.pi * (k * (2 * x + 1) % (4 * spec.N_eta)) / (2 * spec.N_eta)
+    return np.sin(phase), np.cos(phase)
+
+
+class TestSineBases:
+    def test_match_scipy(self):
         for n in range(1, 9):
-            F = qa.build_centered_dft(n)
-            assert np.max(np.abs(F.conj().T @ F - np.eye(2 ** n))) < 1e-12
+            S, C = scipy_bases(n)
+            assert np.max(np.abs(qa.build_dst(n) - S)) < 1e-14, n
+            assert np.max(np.abs(qa.build_dct(n) - C)) < 1e-14, n
 
-    def test_single_bin_concentration(self):
-        # a representable half-integer wave maps to one frequency bin
-        n = 3
-        N = 2 ** n
-        F = qa.build_centered_dft(n)
-        pos = np.arange(N) - (N - 1) / 2
-        k = 1.5  # half-integer frequency index
-        wave = np.exp(2j * np.pi * k * pos / N) / np.sqrt(N)
-        spec = np.abs(F @ wave)
-        assert np.sum(spec > 1e-10) == 1
+    def test_orthonormal(self):
+        for n in range(1, 9):
+            for M in (qa.build_dst(n), qa.build_dct(n)):
+                assert M.dtype == np.float64
+                assert np.max(np.abs(M @ M.T - np.eye(2 ** n))) < 1e-13, n
+
+    def test_single_row_concentration(self):
+        # a sampled sine wave of frequency k maps to row k - 1 of S alone
+        spec = qa.grid_spec_direct(params(), 3, 1)
+        sin3, _ = cell_waves(spec, 3)
+        coeffs = np.abs(qa.build_dst(3) @ sin3)
+        assert np.argmax(coeffs) == 2
+        assert np.sum(coeffs > 1e-12) == 1
 
 
 class TestSpectralDerivative:
-    def test_anti_hermitian(self):
-        p = params()
-        D = qa.build_spectral_derivative(qa.grid_spec_direct(p, 4, 1), p)
-        assert np.max(np.abs(D + D.conj().T)) < 1e-12
-
     def test_representable_wave_exact(self):
-        # sin(pi*eta/(2*eta_max)) lives in the antiperiodic half-integer
-        # basis and is differentiated exactly
+        # D_eta takes each sine of frequency k < N to pi*k/(2*eta_max)
+        # times its cosine, exactly: they span the sine interpolant
+        p = params(eta_max=4.0)
+        scale = np.pi / (2 * p.eta_max)
+        for n_eta in range(2, 9):
+            spec = qa.grid_spec_direct(p, n_eta, 1)
+            D = qa.build_spectral_derivative(spec, p)
+            for k in range(1, spec.N_eta):
+                f, g = cell_waves(spec, k)
+                assert np.max(np.abs(D @ f - scale * k * g)) \
+                    < 1e-14 * scale * spec.N_eta, (n_eta, k)
+
+    def test_top_sine_derivative_vanishes_on_nodes(self):
+        # the cosine of frequency N is zero at every cell centre
         p = params()
         spec = qa.grid_spec_direct(p, 5, 1)
+        f, _ = cell_waves(spec, spec.N_eta)
         D = qa.build_spectral_derivative(spec, p)
-        eta = qa.eta_nodes(spec, p)
-        f = np.sin(np.pi * eta / (2 * p.eta_max))
-        df = (np.pi / (2 * p.eta_max)) * np.cos(np.pi * eta / (2 * p.eta_max))
-        assert np.max(np.abs(D @ f - df)) < 1e-8
+        assert np.max(np.abs(D @ f)) < 1e-12
 
     def test_constant_vector_interior(self):
-        # constants are not exactly representable in the antiperiodic
-        # basis; the derivative is small away from the domain edges
+        # constants are not exactly representable in the sine basis;
+        # the derivative is small away from the domain edges
         p = params()
         spec = qa.grid_spec_direct(p, 6, 1)
         D = qa.build_spectral_derivative(spec, p)
@@ -156,22 +174,11 @@ class TestSpatialOperators:
         for name in ("C_eta1", "C_eta2", "A1", "A2"):
             assert getattr(ops, name).dtype == np.float64, name
         assert qa.fast_invert_exact("A2", spec, p).dtype == np.float64
-        # the dropped imaginary parts were rounding: the real operators
-        # match the complex Fourier products
-        F = qa.build_centered_dft(spec.n_eta)
-        eig = qa.grid.a2_eigenvalues(spec)
-        assert np.max(np.abs(ops.A2 - F.conj().T @ (eig[:, None] * F))) \
+        # A2 is S^T diag((k/2)^2) S with scipy's DST-II
+        S, _ = scipy_bases(spec.n_eta)
+        k = np.arange(1, spec.N_eta + 1)
+        assert np.max(np.abs(ops.A2 - S.T @ ((k[:, None] / 2.0) ** 2 * S))) \
             < 1e-12 * np.max(np.abs(ops.A2))
-
-    @pytest.mark.parametrize("multiplier", [
-        lambda s: s,                  # real and odd: an imaginary product
-        lambda s: 1j * s ** 2,        # imaginary and even
-        lambda s: s ** 2 + 1e-9 * s,  # even up to a planted odd part
-    ], ids=["odd", "imaginary-even", "nearly-even"])
-    def test_fourier_multiplier_rejects_complex_products(self, multiplier):
-        s = eta_hat_diagonal(4)
-        with pytest.raises(ValidationError):
-            qa.grid.fourier_multiplier(4, multiplier(s))
 
     def test_r_equals_q_finite(self):
         p = params(r=0.05, q=0.05)

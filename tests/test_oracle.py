@@ -207,6 +207,22 @@ class TestPriceMaps:
         assert quote.value == pytest.approx(1.5 * np.exp(-0.02) * 0.4)
         assert quote.method == "pde"
 
+    @pytest.mark.parametrize("put,market,S0", [
+        ("avg_rate_put", {"K": 0.9}, 1.0),
+        ("avg_strike_put", {"sigma": 0.5, "r": 0.03, "q": 0.02}, 1.3),
+    ])
+    def test_parity_offset_matches_paths(self, put, market, S0):
+        # on the same draws each call and put differ path by path by a
+        # linear payoff, so the Monte-Carlo difference is that payoff's
+        # sample mean, whose standard error is at most the sum of the
+        # two quotes'; it lies within three of those of the closed form
+        p_put = params(kind=put, **market)
+        p_call = params(kind=oracle.PARITY_CALL[put], **market)
+        call = oracle.monte_carlo_price(p_call, S0, 100_000, 64, seed=5)
+        put_q = oracle.monte_carlo_price(p_put, S0, 100_000, 64, seed=5)
+        gap = (call.value - put_q.value) - oracle.parity_offset(p_put, S0)
+        assert abs(gap) <= 3 * (call.stderr + put_q.stderr)
+
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValidationError):
             oracle.PriceQuote(1.0, -0.1, "x")
