@@ -7,16 +7,19 @@ their artifacts alone.  Exit codes: 0 success, 2 validation problem,
 """
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import circuits, extraction, grid, inversion, oracle
-from .errors import QasianError, ValidationError, InfeasibleScaleError
+from .errors import (QasianError, ValidationError, InfeasibleScaleError,
+                     NoiseDominationWarning, PostSelectionWarning)
 
 DEFAULT_CONFIG = {
     "params": {
@@ -227,63 +230,86 @@ def _write_summary(out, summary):
         json.dump(summary, fh, indent=2, default=float)
 
 
+@contextlib.contextmanager
+def _recorded_warnings(messages):
+    """Append to `messages` the text of every PostSelectionWarning and
+    NoiseDominationWarning shown inside the block.  The warning filters
+    apply as usual, and each warning is passed on to the showwarning in
+    place before, so it still reaches stderr."""
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def record(message, category, *args):
+            if issubclass(category, (PostSelectionWarning,
+                                     NoiseDominationWarning)):
+                messages.append(str(message))
+            show(message, category, *args)
+        warnings.showwarning = record
+        yield
+
+
 def run_pipeline(cfg):
     """Full pipeline: build, precondition, solve, extract, price.
 
     A put is priced from its call's solve (oracle.PARITY_CALL) by
     put-call parity, so its surface files show the call's surface;
-    summary.json names the solved kind in "surface_kind".
+    summary.json names the solved kind in "surface_kind", and lists the
+    post-selection and noise-domination warnings raised in "warnings".
     """
     out = _outdir(cfg)
-    summary = {"stage": "build", "errors": {}}
+    summary = {"stage": "build", "errors": {}, "warnings": []}
     try:
-        params = _market(cfg)
-        S0 = cfg["oracle"]["S0"]
-        if not S0 > 0:
-            raise ValidationError(f"oracle.S0 must be > 0, got {S0!r}")
-        solved = grid.MarketParams(**{
-            **cfg["params"],
-            "kind": oracle.PARITY_CALL.get(params.kind, params.kind)})
-        spec = _spec(cfg, params)
-        summary["grid"] = {"n_eta": spec.n_eta, "n_tau1": spec.n_tau1,
-                           "delta_tau1": spec.delta_tau1,
-                           "delta_eta_hat": spec.delta_eta_hat}
-        summary["surface_kind"] = solved.kind
-        ext_cfg = _extraction_cfg(cfg, spec, params)
+        with _recorded_warnings(summary["warnings"]):
+            params = _market(cfg)
+            S0 = cfg["oracle"]["S0"]
+            if not S0 > 0:
+                raise ValidationError(f"oracle.S0 must be > 0, got {S0!r}")
+            solved = grid.MarketParams(**{
+                **cfg["params"],
+                "kind": oracle.PARITY_CALL.get(params.kind, params.kind)})
+            spec = _spec(cfg, params)
+            summary["grid"] = {"n_eta": spec.n_eta, "n_tau1": spec.n_tau1,
+                               "delta_tau1": spec.delta_tau1,
+                               "delta_eta_hat": spec.delta_eta_hat}
+            summary["surface_kind"] = solved.kind
+            ext_cfg = _extraction_cfg(cfg, spec, params)
 
-        summary["stage"] = "solve"
-        _, norm_b, report, state, est, scale = _solve_and_read(
-            cfg, spec, solved)
-        with open(os.path.join(out, "condition_report.json"), "w") as fh:
-            fh.write(report.to_json())
-        summary["condition"] = json.loads(report.to_json())
-        summary["errors"]["norm_b"] = norm_b
+            summary["stage"] = "solve"
+            _, norm_b, report, state, est, scale = _solve_and_read(
+                cfg, spec, solved)
+            with open(os.path.join(out, "condition_report.json"), "w") as fh:
+                fh.write(report.to_json())
+            summary["condition"] = json.loads(report.to_json())
+            summary["errors"]["norm_b"] = norm_b
 
-        summary["stage"] = "extract"
-        result = extraction.extract_psi_2d(state, spec, ext_cfg, est,
-                                           scale=scale)
-        summary["errors"]["extraction_bound"] = result.err_bound
-        summary["extraction"] = {"ae_calls": result.ae_calls,
-                                 "ae_cost": result.ae_cost}
-        _emit_extraction_csvs(out, spec, params, result)
+            summary["stage"] = "extract"
+            result = extraction.extract_psi_2d(state, spec, ext_cfg, est,
+                                               scale=scale)
+            summary["errors"]["extraction_bound"] = result.err_bound
+            summary["extraction"] = {"ae_calls": result.ae_calls,
+                                     "ae_cost": result.ae_cost}
+            _emit_extraction_csvs(out, spec, params, result)
 
-        summary["stage"] = "price"
-        quote = _price_from_state(state, spec, solved, cfg, est, scale)
-        summary["extraction"]["price_ae_calls"] = est.calls - result.ae_calls
-        summary["extraction"]["price_ae_cost"] = (est.total_cost
-                                                  - result.ae_cost)
-        if solved.kind != params.kind:
-            offset = oracle.parity_offset(params, S0)
-            summary["parity"] = {"call_value": quote.value, "offset": offset}
-            quote = oracle.PriceQuote(quote.value - offset, quote.stderr,
-                                      "pde-parity")
-        summary["price"] = {"value": quote.value, "method": quote.method}
-        with open(os.path.join(out, "quotes.csv"), "w") as fh:
-            fh.write("method,value,stderr\n")
-            fh.write(f"{quote.method},{quote.value:.12g},{quote.stderr:.12g}\n")
+            summary["stage"] = "price"
+            quote = _price_from_state(state, spec, solved, cfg, est, scale)
+            summary["extraction"]["price_ae_calls"] = (est.calls
+                                                       - result.ae_calls)
+            summary["extraction"]["price_ae_cost"] = (est.total_cost
+                                                      - result.ae_cost)
+            if solved.kind != params.kind:
+                offset = oracle.parity_offset(params, S0)
+                summary["parity"] = {"call_value": quote.value,
+                                     "offset": offset}
+                quote = oracle.PriceQuote(quote.value - offset, quote.stderr,
+                                          "pde-parity")
+            summary["price"] = {"value": quote.value, "method": quote.method}
+            with open(os.path.join(out, "quotes.csv"), "w") as fh:
+                fh.write("method,value,stderr\n")
+                fh.write(f"{quote.method},{quote.value:.12g},"
+                         f"{quote.stderr:.12g}\n")
 
-        summary["stage"] = "done"
-        return summary, result, quote
+            summary["stage"] = "done"
+            return summary, result, quote
     finally:
         _write_summary(out, summary)
 

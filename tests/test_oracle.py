@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -114,6 +117,10 @@ class TestCrankNicolson:
         assert v == pytest.approx(lattice[3, 10], abs=1e-12)
 
 
+STRIKE_PUT = {"sigma": 0.7, "r": 0.03, "q": 0.01, "T": 2.0, "K": 1.3,
+              "kind": "avg_strike_put"}
+
+
 class TestMonteCarlo:
     def test_zero_strike_closed_form(self):
         # K = 0 average-rate call pays the arithmetic average itself
@@ -158,34 +165,120 @@ class TestMonteCarlo:
     @staticmethod
     def _reference_price(params, S0, n_paths, n_steps, seed):
         """The stepping loop as first written: exp of both path ends in
-        every step, out of place."""
-        rng = np.random.default_rng(seed)
+        every step, out of place; run serially over the blocks of
+        MC_BLOCK paths, block b on child b of SeedSequence(seed)."""
+        n_blocks = -(-n_paths // oracle.MC_BLOCK)
         dt = params.T / n_steps
         drift = (params.r - params.q - 0.5 * params.sigma ** 2) * dt
         vol = params.sigma * np.sqrt(dt)
-        log_s = np.full(n_paths, np.log(S0))
-        integral = np.zeros(n_paths)
-        for _ in range(n_steps):
-            prev = np.exp(log_s)
-            log_s = log_s + drift + vol * rng.standard_normal(n_paths)
-            cur = np.exp(log_s)
-            integral += 0.5 * dt * (prev + cur)
-        payoff = oracle._payoff(params, integral / params.T, np.exp(log_s))
+        integral, s_T = [], []
+        for b, stream in enumerate(np.random.SeedSequence(seed)
+                                   .spawn(n_blocks)):
+            rng = np.random.default_rng(stream)
+            n = min(oracle.MC_BLOCK, n_paths - b * oracle.MC_BLOCK)
+            log_s = np.full(n, np.log(S0))
+            block_integral = np.zeros(n)
+            for _ in range(n_steps):
+                prev = np.exp(log_s)
+                log_s = log_s + drift + vol * rng.standard_normal(n)
+                cur = np.exp(log_s)
+                block_integral += 0.5 * dt * (prev + cur)
+            integral.append(block_integral)
+            s_T.append(np.exp(log_s))
+        payoff = oracle._payoff(params, np.concatenate(integral) / params.T,
+                                np.concatenate(s_T))
         disc = np.exp(-params.r * params.T)
         return oracle.PriceQuote(
             disc * float(np.mean(payoff)),
             disc * float(np.std(payoff, ddof=1) / np.sqrt(n_paths)), "mc")
 
     @pytest.mark.parametrize("seed", [4, 11])
-    @pytest.mark.parametrize("market,S0", [
-        ({}, 1.0),
-        ({"sigma": 0.7, "r": 0.03, "q": 0.01, "T": 2.0, "K": 1.3,
-          "kind": "avg_strike_put"}, 1.7),
-    ], ids=["default", "strike-put"])
-    def test_bit_identical_to_reference_loop(self, market, S0, seed):
+    @pytest.mark.parametrize("market,S0,n_paths", [
+        (market, S0, n_paths)
+        for n_paths in (3_000, 2 * oracle.MC_BLOCK, 2 * oracle.MC_BLOCK + 17)
+        for market, S0 in (({}, 1.0), (STRIKE_PUT, 1.7))
+    ], ids=[f"{market}{size}"
+            for size in ("", "-exact-multiple", "-ragged-tail")
+            for market in ("default", "strike-put")])
+    def test_bit_identical_to_reference_loop(self, market, S0, n_paths,
+                                             seed):
+        # one block (fewer than MC_BLOCK paths), two whole blocks, and two
+        # blocks with a ragged third
         p = params(**market)
-        assert oracle.monte_carlo_price(p, S0, 3_000, 17, seed=seed) == \
-            self._reference_price(p, S0, 3_000, 17, seed)
+        assert oracle.monte_carlo_price(p, S0, n_paths, 17, seed=seed) == \
+            self._reference_price(p, S0, n_paths, 17, seed)
+
+    @staticmethod
+    def _record_blocks(monkeypatch):
+        """Wrap oracle._run_block; the returned list gets one (thread
+        ident, lo, S_T of the block) per block run."""
+        runs = []
+        run_block = oracle._run_block
+
+        def recording(stream, lo, hi, *args):
+            run_block(stream, lo, hi, *args)
+            runs.append((threading.get_ident(), lo, args[-1][lo:hi].copy()))
+        monkeypatch.setattr(oracle, "_run_block", recording)
+        return runs
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_quote_independent_of_thread_count(self, monkeypatch, cpus):
+        # at most min(n_blocks, usable CPUs) threads, the caller among
+        # them, and the same quote for any number of them
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        runs = self._record_blocks(monkeypatch)
+        p = params()
+        n_paths = 2 * oracle.MC_BLOCK + 17
+        quote = oracle.monte_carlo_price(p, 1.0, n_paths, 9, seed=2)
+        assert quote == self._reference_price(p, 1.0, n_paths, 9, 2)
+        threads = {ident for ident, _, _ in runs}
+        assert len(threads) <= min(3, cpus)
+        if cpus == 1:
+            assert threads == {threading.get_ident()}
+        assert sorted(lo for _, lo, _ in runs) == \
+            [0, oracle.MC_BLOCK, 2 * oracle.MC_BLOCK]
+
+    def test_repeated_calls_bit_identical(self):
+        # whichever thread takes which block, the quote is the same
+        p = params(sigma=0.5)
+        quotes = {oracle.monte_carlo_price(p, 1.0, 5 * oracle.MC_BLOCK + 3,
+                                           8, seed=9) for _ in range(6)}
+        assert len(quotes) == 1
+
+    def test_blocks_draw_different_paths(self, monkeypatch):
+        # blocks sharing one stream would repeat their paths, and the
+        # stderr would shrink by sqrt(blocks) while the price looked fine
+        runs = self._record_blocks(monkeypatch)
+        oracle.monte_carlo_price(params(), 1.0, 4 * oracle.MC_BLOCK, 4,
+                                 seed=3)
+        ends = [s_T for _, _, s_T in sorted(runs, key=lambda r: r[1])]
+        assert len(ends) == 4
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert not np.any(ends[i] == ends[j])
+
+    def test_blocks_taken_once_under_contention(self, monkeypatch):
+        # more threads than cores and a short switch interval: every block
+        # is stepped exactly once and the quote matches the serial loop
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
+        runs = self._record_blocks(monkeypatch)
+        p = params()
+        n_paths = 12 * oracle.MC_BLOCK + 5
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: result.append(
+                oracle.monte_carlo_price(p, 1.0, n_paths, 2, seed=6)))
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert sorted(lo for _, lo, _ in runs) == \
+            [b * oracle.MC_BLOCK for b in range(13)]
+        assert len({ident for ident, _, _ in runs}) <= 8
+        assert result == [self._reference_price(p, 1.0, n_paths, 2, 6)]
 
 
 class TestPriceMaps:
