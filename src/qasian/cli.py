@@ -8,6 +8,7 @@ their artifacts alone.  Exit codes: 0 success, 2 validation problem,
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import numbers
@@ -164,6 +165,13 @@ def _market(cfg):
     return grid.MarketParams(**cfg["params"])
 
 
+def _solved(params):
+    """The market whose profile every command solves: a put's family call
+    (oracle.PARITY_CALL), which prices the put by parity; else params."""
+    return dataclasses.replace(
+        params, kind=oracle.PARITY_CALL.get(params.kind, params.kind))
+
+
 def _spec(cfg, params):
     if cfg["n_tau1"] is not None:
         # grid_spec_direct accepts a diffusion-free sigma = 0 grid; a
@@ -251,8 +259,8 @@ def _recorded_warnings(messages):
 def run_pipeline(cfg):
     """Full pipeline: build, precondition, solve, extract, price.
 
-    A put is priced from its call's solve (oracle.PARITY_CALL) by
-    put-call parity, so its surface files show the call's surface;
+    A put is priced from its call's solve (_solved) by put-call parity,
+    so its surface files show the call's surface;
     summary.json names the solved kind in "surface_kind", and lists the
     post-selection and noise-domination warnings raised in "warnings".
     """
@@ -264,9 +272,11 @@ def run_pipeline(cfg):
             S0 = cfg["oracle"]["S0"]
             if not S0 > 0:
                 raise ValidationError(f"oracle.S0 must be > 0, got {S0!r}")
-            solved = grid.MarketParams(**{
-                **cfg["params"],
-                "kind": oracle.PARITY_CALL.get(params.kind, params.kind)})
+            eta0, _ = oracle.eta_of(S0, 0.0, 0.0, params)
+            if abs(eta0) > params.eta_max:
+                raise ValidationError(f"eta0 = {eta0:.6g} lies outside the "
+                                      f"eta domain |eta| <= {params.eta_max}")
+            solved = _solved(params)
             spec = _spec(cfg, params)
             summary["grid"] = {"n_eta": spec.n_eta, "n_tau1": spec.n_tau1,
                                "delta_tau1": spec.delta_tau1,
@@ -320,32 +330,25 @@ def _price_from_state(state, spec, params, cfg, est, scale):
     tau1 = T is the ghost slice of the closure row, so psi there is the
     grid.END_GHOST extrapolation of the last three slices (at
     N_tau1 = 2 the oldest of them is the tau1 = 0 payoff, known without
-    a measurement).  |psi| is read from single-cell windows, one
-    amplitude estimation each, at the two lattice cells bracketing eta0,
-    and interpolated linearly in eta.  Only those cells are squared: each
-    slice's pair is a 1 x 2 probability table of its own.  `scale`
-    relates squared amplitudes to psi^2, as in
-    extraction.extract_psi_2d.
+    a measurement).  |psi| is read at the two lattice cells bracketing
+    eta0 (run_pipeline has checked that it lies in the domain), slice by
+    slice in one extraction._estimate_blocks call with one single-cell
+    run each, and interpolated linearly in eta.  `scale` relates squared
+    amplitudes to psi^2, as in extraction.extract_psi_2d.
     """
     S0 = cfg["oracle"]["S0"]
     eta0, _ = oracle.eta_of(S0, 0.0, 0.0, params)
-    if abs(eta0) > params.eta_max:
-        raise QasianError(f"eta0 = {eta0:.6g} lies outside the eta domain")
     eta = grid.eta_nodes(spec, params)
     x = int(np.clip(np.searchsorted(eta, eta0) - 1, 0, spec.N_eta - 2))
     amps = np.asarray(state.amplitudes).reshape(spec.N_tau1, spec.N_eta)
-
-    def slice_abs(t):
-        if t < 0:  # the tau1 = 0 slice is the payoff itself
-            return grid.psi0(params, eta[x:x + 2],
-                             kink_shift=cfg["kink_shift"])
-        cells = np.abs(amps[t:t + 1, x:x + 2]) ** 2
-        return np.array([math.sqrt(scale * extraction.estimate_rectangle(
-            cells, 0, 0, c, c, est)[0]) for c in (0, 1)])
-
     N_t = spec.N_tau1
-    psi_T = sum(g * slice_abs(t)
-                for g, t in zip(grid.END_GHOST, range(N_t - 3, N_t)))
+    cells = np.abs(amps[max(N_t - 3, 0):, x:x + 2]) ** 2
+    totals, _ = extraction._estimate_blocks(list(cells.reshape(-1, 1)), est)
+    slices = list(np.sqrt(scale * np.array(totals)).reshape(-1, 2))
+    if N_t == 2:  # the tau1 = 0 slice is the payoff itself
+        slices.insert(0, grid.psi0(params, eta[x:x + 2],
+                                   kink_shift=cfg["kink_shift"]))
+    psi_T = sum(g * row for g, row in zip(grid.END_GHOST, slices))
     w = (eta0 - eta[x]) / (eta[x + 1] - eta[x])
     psi_val = (1.0 - w) * psi_T[0] + w * psi_T[1]
     return oracle.price_from_psi(psi_val, S0, 0.0, 0.0, params)
@@ -415,7 +418,7 @@ def run_convergence(cfg, levels):
     if levels < 3:
         raise ValidationError("convergence study needs >= 3 levels")
     out = _outdir(cfg)
-    params = _market(cfg)
+    params = _solved(_market(cfg))
     rows = []
     for lvl in range(levels):
         level_cfg = {**cfg, "n_eta": cfg["n_eta"] + lvl, "n_tau1": None}
@@ -468,7 +471,7 @@ def run_dump_encoding(cfg, which):
 
 def run_build(cfg):
     out = _outdir(cfg)
-    params = _market(cfg)
+    params = _solved(_market(cfg))
     spec = _spec(cfg, params)
     inversion.check_dim_cap(spec)
     ops = grid.build_operators(spec, params, kink_shift=cfg["kink_shift"])
@@ -481,19 +484,20 @@ def run_build(cfg):
         with open(os.path.join(out, f"{name}.json"), "w") as fh:
             fh.write(grid.operator_descriptor(name, spec))
     return {"n_eta": spec.n_eta, "n_tau1": spec.n_tau1,
-            "norm_b": ops.norm_b, "outdir": out}
+            "norm_b": ops.norm_b, "surface_kind": params.kind, "outdir": out}
 
 
 def run_solve(cfg):
     out = _outdir(cfg)
-    params = _market(cfg)
+    params = _solved(_market(cfg))
     spec = _spec(cfg, params)
     psi_tilde, norm_b, report, *_ = _solve_and_read(cfg, spec, params)
     with open(os.path.join(out, "condition_report.json"), "w") as fh:
         fh.write(report.to_json())
     grid.matrix_to_csv(psi_tilde.reshape(spec.N_tau1, spec.N_eta),
                        os.path.join(out, "solution.csv"))
-    return {"norm_b": norm_b, "kappa_W": report.kappa_W, "outdir": out}
+    return {"norm_b": norm_b, "kappa_W": report.kappa_W,
+            "surface_kind": params.kind, "outdir": out}
 
 
 def main(argv=None):
@@ -525,7 +529,7 @@ def main(argv=None):
     overrides = {}
     if args.outdir:
         overrides["outdir"] = args.outdir
-    if args.n_eta:
+    if args.n_eta is not None:
         overrides["n_eta"] = args.n_eta
     ext_over = {}
     if args.ae_mode:

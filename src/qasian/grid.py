@@ -5,10 +5,11 @@ average-to-underlying ratio) and the reversed time tau1 = T - t.  This
 module builds every discrete operator of the scheme: the central time
 derivative with Dirichlet ends, the spectral (sine-basis) space
 derivatives, the diffusion and drift terms, the factorized diffusion
-pieces A1 * A2, the closed time operator (as the band the solver
-factors, never as an N_tau1 x N_tau1 matrix) and the boundary-driven
-right-hand side.  The system they make is the Kronecker sum that
-inversion.SpaceTimeSystem solves without assembling it.
+pieces A1 * A2, the closed time operator (as the three diagonals of
+a tridiagonal matrix similar to it, never as an N_tau1 x N_tau1 matrix)
+and the boundary-driven right-hand side.  The system they make is the
+Kronecker sum that inversion.SpaceTimeSystem solves without assembling
+it.
 
 Conventions used throughout the package:
 
@@ -43,17 +44,12 @@ import numbers
 
 import numpy as np
 from scipy.linalg.blas import dgemm
-from scipy.sparse import dia_array
 
 from .errors import InfeasibleScaleError, ValidationError
 
 #: Extrapolation weights of the tau1 = T ghost slice on the slices
 #: N-3, N-2, N-1 (slice -1 is tau1 = 0): psi_N = sum_j END_GHOST[j] psi_{N-3+j}.
 END_GHOST = np.array([1.0, -3.0, 3.0])
-
-#: Lower and upper bandwidth of the closed time operator Ct: the BDF2
-#: closure row reaches two slices back, the central rows one either way.
-TIME_KL, TIME_KU = 2, 1
 
 #: Largest time register make_grid tries.
 N_TAU1_CAP = 24
@@ -128,11 +124,11 @@ class GridSpec:
 class OperatorSet:
     """All discrete operators of one system build.
 
-    Ct is the closed time operator delta_tau1*(C_tau1 + C_close) as a
-    dia_array whose `.data` is its LAPACK band storage (build_time_operator).
-    C_eta1, C_eta2, A1 have the global delta_tau1 rescaling absorbed, so
-    the assembled system is Ct (x) I + I (x) (C_eta1 + C_eta2).  Every
-    operator is a real (float64) array.
+    Ct is the closed time operator delta_tau1*(C_tau1 + C_close) as the
+    tuple (dl, d, du, m) of build_time_operator: the diagonals of the
+    tridiagonal C~ = E Ct E^-1 and the multiplier m of E.  C_eta1, C_eta2,
+    A1 have the global delta_tau1 rescaling absorbed, so the assembled
+    system is Ct (x) I + I (x) (C_eta1 + C_eta2), all of it real float64.
 
     C_tau1 (the central derivative) and C_close (its closure row) are the
     two parts of Ct with the raw 1/(2*delta_tau1) scale, as dense
@@ -141,7 +137,7 @@ class OperatorSet:
     """
 
     spec: GridSpec
-    Ct: dia_array
+    Ct: tuple
     C_eta1: np.ndarray
     C_eta2: np.ndarray
     A1: np.ndarray
@@ -275,44 +271,33 @@ def _closure_row(N):
     return cols[cols >= 0], END_GHOST[cols >= 0]
 
 
-def time_diagonals(band):
-    """(dl, d, du, m): the sub-, main and superdiagonal of the tridiagonal
-    C~ = E Ct E^-1, Ct given by its band storage (build_time_operator),
-    and the multiplier m of E, the row operation row N-1 -= m row N-2
-    that clears the closure row's entry (N-1, N-3) below the
-    subdiagonal.  E^-1 adds m column N-1 to column N-2, so C~ differs
-    from Ct only in entries (N-2, N-2), (N-1, N-2) and (N-1, N-1).
-    C~ + s I = E (Ct + s I) E^-1 for every shift s.  With N = 2 the
-    closure reaches no column N-3, so m = 0 and C~ = Ct."""
-    dl, d, du = (band[TIME_KU + 1, :-1].copy(), band[TIME_KU].copy(),
-                 band[TIME_KU - 1, 1:].copy())
-    m = 0.0
-    if d.size >= 3:  # Ct[N-1, N-3] / Ct[N-2, N-3]
-        m = band[TIME_KU + 2, -3] / dl[-2]
-        dl[-1] += m * (d[-1] - d[-2] - m * du[-1])
-        d[-2] += m * du[-1]
-        d[-1] -= m * du[-1]
-    return dl, d, du, m
-
-
 def build_time_operator(spec):
-    """Closed time operator Ct = delta_tau1*(C_tau1 + C_close), banded.
+    """Closed time operator Ct = delta_tau1*(C_tau1 + C_close) as
+    (dl, d, du, m): the sub-, main and superdiagonal of the tridiagonal
+    C~ = E Ct E^-1, and the multiplier m of E.
 
     The central row at the last interior node reads psi_N, the tau1 = T
     slice.  Replacing psi_N by its ghost value (END_GHOST extrapolation)
     makes that row the BDF2 stencil (psi_{N-3} - 4 psi_{N-2} + 3 psi_{N-1})/2;
     every other row is the central (psi_{t+1} - psi_{t-1})/2.  delta_tau1
-    cancels, so Ct holds only +-1/2 and the BDF2 row.  Returned as a
-    dia_array with offsets TIME_KU..-TIME_KL, whose `.data` is LAPACK band
-    storage: data[TIME_KU + i - j, j] = Ct[i, j].
+    cancels, so Ct holds only +-1/2 and the BDF2 row.  E, row N-1 -=
+    m row N-2, clears the BDF2 row's entry (N-1, N-3); E^-1 adds m column
+    N-1 to column N-2, so C~ differs from Ct only in entries (N-2, N-2),
+    (N-1, N-2) and (N-1, N-1), and C~ + s I = E (Ct + s I) E^-1 for every
+    shift s.  At N = 2 there is no column N-3: m = 0 and C~ = Ct.
     """
     N = spec.N_tau1
-    data = np.zeros((TIME_KL + TIME_KU + 1, N))
-    data[TIME_KU - 1, 1:] = 0.5    # Ct[t, t+1]
-    data[TIME_KU + 1, :-1] = -0.5  # Ct[t+1, t]
-    cols, g = _closure_row(N)
-    data[TIME_KU + N - 1 - cols, cols] += g / 2.0
-    return dia_array((data, range(TIME_KU, -TIME_KL - 1, -1)), shape=(N, N))
+    dl, d, du = np.full(N - 1, -0.5), np.zeros(N), np.full(N - 1, 0.5)
+    _, g = _closure_row(N)
+    dl[-1] += g[-2] / 2.0
+    d[-1] += g[-1] / 2.0
+    m = 0.0
+    if g.size == 3:  # Ct[N-1, N-3] / Ct[N-2, N-3]
+        m = g[0] / 2.0 / dl[-2]
+        dl[-1] += m * (d[-1] - d[-2] - m * du[-1])
+        d[-2] += m * du[-1]
+        d[-1] -= m * du[-1]
+    return dl, d, du, m
 
 
 def eta_hat_diagonal(n_eta):
@@ -468,9 +453,9 @@ def build_rhs(spec, params, kink_shift=0.0):
 def build_operators(spec, params, kink_shift=0.0):
     """Build the full OperatorSet for one (spec, params) pair.
 
-    The time operator is the band of build_time_operator.  The spatial
-    operators are composed here from their factors, so both identities
-    hold by construction:
+    The time operator is the tridiagonal of build_time_operator.  The
+    spatial operators are composed here from their factors, so both
+    identities hold by construction:
 
     * diffusion, C_eta1 = A1 A2, is -delta_tau1 * (sigma^2 eta^2 / 2)
       d^2/d eta^2 in the spectral discretization, i.e. the diffusion

@@ -193,32 +193,28 @@ class SpaceTimeSystem:
     L = C_eta1 + C_eta2, both real.  On X = x.reshape(N_tau1, N_eta) it
     acts as Ct X + X L^T, and M X = C is the Sylvester equation solved
     exactly, in real arithmetic, by the Hessenberg-Schur method (Golub,
-    Nash and Van Loan, IEEE TAC 24(6), 1979).  Ct is banded, with lower
-    bandwidth 2 (the closure row) and upper bandwidth 1;
-    grid.build_operators builds it in LAPACK band storage, which the
-    factors are taken from as it is (`ops.Ct.data`), and it is applied as
-    the dia_array it comes in.  Only the N_eta x N_eta L^T = V T V^T is
-    brought to real Schur form: V is orthogonal and T quasi-upper-
-    triangular, with a 1 x 1 diagonal block per real eigenvalue of L and a
-    2 x 2 block per complex pair.  With Z = X V and F = C V the equation
-    becomes S Z = Ct Z + Z T = F, and its column blocks solve in order:
-    block J takes Ct Z_J + Z_J T_JJ = F_J - Z[:, :J] T[:J, J].  The sweep
-    runs in the coordinates of the tridiagonal C~ = E Ct E^-1
-    (grid.time_diagonals), E the row operation that clears the closure
-    row's entry below the subdiagonal: F is taken to E F once on entry
-    and Z back once on exit.  So each block is one tridiagonal system of
-    N_tau1 unknowns (_block_solver): a 1 x 1 block the real shifted system
-    C~ + T_jj I, and a 2 x 2 block one complex shifted system
-    C~ + (a + i w) I (at N_tau1 = 2, a 2 x 2 dense one).  S^T Z = F runs
-    the blocks backwards through the same factors, transposed, between
-    E^-T on entry and E^T on exit.  Ct is not normal (its closure row),
-    which this route does not need.  The sweep runs in one (N_tau1, N_eta)
-    workspace, into which F is multiplied, with every view of it taken
-    when the factors are built, so a solve allocates nothing per block.
-    This one sweep serves every dim: its cost is O(dim) per block on top
-    of a fixed call cost, and the factors grow as
-    N_eta^2 + N_eta*N_tau1 + dim; both dim and N_eta^2 are held to
-    DIM_CAP.
+    Nash and Van Loan, IEEE TAC 24(6), 1979).  Ct is held only as the
+    tridiagonal C~ = E Ct E^-1 of grid.build_time_operator, E one row
+    operation: Ct X = E^-1 C~ E X (_time_operator).  Only the
+    N_eta x N_eta L^T = V T V^T is brought to real Schur form: V is
+    orthogonal and T quasi-upper-triangular, with a 1 x 1 diagonal block
+    per real eigenvalue of L and a 2 x 2 block per complex pair.  With
+    Z = X V and F = C V the equation becomes S Z = Ct Z + Z T = F, and
+    its column blocks solve in order: block J takes
+    Ct Z_J + Z_J T_JJ = F_J - Z[:, :J] T[:J, J].  The sweep runs in the
+    coordinates of C~: F is taken to E F once on entry and Z back once on
+    exit.  So each block is one tridiagonal system of N_tau1 unknowns
+    (_block_solver): a 1 x 1 block the real shifted system C~ + T_jj I,
+    and a 2 x 2 block one complex shifted system C~ + (a + i w) I (at
+    N_tau1 = 2, a 2 x 2 dense one).  S^T Z = F runs the blocks backwards
+    through the same factors, transposed, between E^-T on entry and E^T
+    on exit.  Ct is not normal (its closure row), which this route does
+    not need.  The sweep runs in one (N_tau1, N_eta) workspace, into which
+    F is multiplied, with every view of it taken when the factors are
+    built, so a solve allocates nothing per block.  This one sweep serves
+    every dim: its cost is O(dim) per block on top of a fixed call cost,
+    and the factors grow as N_eta^2 + N_eta*N_tau1 + dim; both dim and
+    N_eta^2 are held to DIM_CAP.
 
     The split of the dense reference assembly follows from M without
     forming it: A + B = (I (x) A1^-1) M, A = I (x) A2, B = (A + B) - A and
@@ -253,11 +249,10 @@ class SpaceTimeSystem:
         self.spec = spec
         self.norm_b = ops.norm_b
         self.shape = shape = (spec.N_tau1, spec.N_eta)
-        Ct = ops.Ct
         Lt = (ops.C_eta1 + ops.C_eta2).T
         T, V = schur(Lt, output="real")
-        solve_schur = _block_solver(Ct.data, T)
-        Ct_adj = Ct.T
+        solve_schur = _block_solver(ops.Ct, T)
+        apply_Ct = _time_operator(ops.Ct)
         a1_inv = np.diag(fast_invert_exact("A1", spec, params))
         apply_A = _blocks(ops.A2)
         apply_A2_inv = _blocks(fast_invert_exact("A2", spec, params))
@@ -269,9 +264,7 @@ class SpaceTimeSystem:
 
         def apply(X, adjoint):
             """M X = Ct X + X L^T, or M^T X = Ct^T X + X L."""
-            if adjoint:
-                return Ct_adj @ X + dgemm(1.0, X, Lt, trans_b=1)
-            return Ct @ X + dgemm(1.0, X, Lt)
+            return apply_Ct(X, adjoint) + dgemm(1.0, X, Lt, trans_b=adjoint)
 
         def ab(X, adjoint):
             """A + B = (I (x) A1^-1) M, A1 a column scaling."""
@@ -356,10 +349,30 @@ def _schur_blocks(T):
     return list(zip(starts, starts[1:] + [n]))
 
 
+def _time_operator(diagonals):
+    """Ct as a map of grids from grid.build_time_operator's (dl, d, du, m):
+    X -> E^-1 C~ E X, or for the adjoint E^T C~^T E^-T X, each E factor
+    the row update of _block_solver."""
+    dl, d, du, m = diagonals
+    dl, d, du = dl[:, None], d[:, None], du[:, None]
+
+    def apply(X, adjoint):
+        i, j, e = (-2, -1, m) if adjoint else (-1, -2, -m)
+        lower, upper = (du, dl) if adjoint else (dl, du)
+        X = X.copy()
+        X[i] += e * X[j]
+        Y = d * X
+        Y[1:] += lower * X[:-1]
+        Y[:-1] += upper * X[1:]
+        Y[i] -= e * Y[j]
+        return Y
+    return apply
+
+
 def _shifted_solver(diagonals, s):
     """(y, trans) -> None: solves (C~ + s I) x = y, or with trans "T" its
-    transpose, in place on y; diagonals (dl, d, du, m) from
-    grid.time_diagonals, whose m it does not use.
+    transpose, in place on y; diagonals (dl, d, du, m) as
+    grid.build_time_operator gives them, whose m it does not use.
 
     Factored once by dgttrf, or zgttrf for a complex s.  scipy's ?gttrf
     wrappers refuse n = 2, so at N_tau1 = 2 the 2 x 2 is factored by
@@ -390,23 +403,23 @@ def _shifted_solver(diagonals, s):
     return solve
 
 
-def _block_solver(band, T):
+def _block_solver(diagonals, T):
     """(X, G, adjoint) -> Z with Ct Z + Z T = F, or Ct^T Z + Z T^T = F,
     for F = X G (X itself if G is None).
 
     F is formed in a Fortran-order workspace that the solver owns, and Z
     is returned in it: valid until the next call, so a caller copies or
     multiplies it out.  The sweep runs in the coordinates of the
-    tridiagonal C~ = E Ct E^-1 (grid.time_diagonals): one row update
-    each takes F to E F on entry and Z back by E^-1 on exit, or, for the
-    adjoint, E^-T and E^T.  T's 1 x 1 and 2 x 2 diagonal blocks
-    (_schur_blocks) then solve in order, each after subtracting the
-    coupling to the blocks already solved: the earlier ones through T's
-    columns, or, for the adjoint, the later ones through T^T's.  Every
-    view of the workspace and every coupling slice of T is taken once,
-    here.  Each block is one tridiagonal system C~ + s I of N_tau1
-    unknowns, factored once (_shifted_solver) and solved as it is or
-    transposed:
+    tridiagonal C~ = E Ct E^-1, whose diagonals (dl, d, du, m) are
+    grid.build_time_operator's: one row update each takes F to E F on
+    entry and Z back by E^-1 on exit, or, for the adjoint, E^-T and E^T.
+    T's 1 x 1 and 2 x 2 diagonal blocks (_schur_blocks) then solve in
+    order, each after subtracting the coupling to the blocks already
+    solved: the earlier ones through T's columns, or, for the adjoint,
+    the later ones through T^T's.  Every view of the workspace and every
+    coupling slice of T is taken once, here.  Each block is one
+    tridiagonal system C~ + s I of N_tau1 unknowns, factored once
+    (_shifted_solver) and solved as it is or transposed:
     - a 1 x 1 block has s = t_jj real and is solved in place on the
       workspace's column;
     - a 2 x 2 block [[a, b], [c, a]] with bc < 0 (LAPACK's standard form)
@@ -420,11 +433,9 @@ def _block_solver(band, T):
       scales the rounding of one part by sqrt(|b|/|c|) or its inverse: at
       most 38 over sigma 0.3-10 and n_eta 3-8 (sigma = 0.5, n_eta = 7).
     """
-    n = T.shape[0]
-    diagonals = grid_mod.time_diagonals(band)
-    m = diagonals[3]
-    F = np.empty((band.shape[1], n), order="F")
-    y_pair = np.empty(band.shape[1], dtype=complex)
+    n, N_tau1, m = T.shape[0], diagonals[1].size, diagonals[3]
+    F = np.empty((N_tau1, n), order="F")
+    y_pair = np.empty(N_tau1, dtype=complex)
     # (Re y, Im y) as a (2, N_tau1) view, matching each block's transposed
     # columns: row-major traversal then runs along N_tau1 (on a 2-core x86
     # VM, one multiply and divide in (N_tau1, 2) order took 5.2 / 13.7 us

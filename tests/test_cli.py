@@ -92,6 +92,20 @@ class TestCommands:
         assert rep["bound_satisfied"] is True
         assert (tmp_path / "solution.csv").exists()
 
+    def test_solve_put_solves_its_call(self, tmp_path, capsys):
+        # every command solves the family's call: a put's solution.csv is
+        # its call's, and the printed JSON names the solved kind
+        files = {}
+        for kind in ("avg_rate_call", "avg_rate_put"):
+            (tmp_path / kind).mkdir()
+            assert run_config(tmp_path / kind, {"params": {"kind": kind}},
+                              "solve") == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["surface_kind"] == "avg_rate_call"
+            files[kind] = (tmp_path / kind / "out" /
+                           "solution.csv").read_bytes()
+        assert files["avg_rate_put"] == files["avg_rate_call"]
+
     def test_dump_encoding(self, tmp_path, capsys):
         code = run(tmp_path, "--preset", "smoke", "dump-encoding", "ctau1")
         assert code == 0
@@ -160,6 +174,25 @@ class TestExitCodes:
                          "--config", str(cfg), "solve"])
         assert code == 2
         assert not (tmp_path / "out" / "solution.csv").exists()
+
+    @pytest.mark.parametrize("n_eta", ["0", "1"])
+    def test_n_eta_flag_below_two(self, tmp_path, capsys, n_eta):
+        # --n-eta 0 is an override like any other, not a missing flag
+        assert run(tmp_path, "--n-eta", n_eta, "build") == 2
+        assert "n_eta must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "C_eta1.csv").exists()
+
+    def test_eta0_outside_domain(self, tmp_path, capsys, monkeypatch):
+        # K = 10 puts eta0 = -10 outside the domain [-4, 4]: exit 2 before
+        # any numerics, with no surface files written
+        def no_solve(*args, **kwargs):
+            raise AssertionError("system solved for an eta0 off the domain")
+        monkeypatch.setattr(inversion, "solve_pricing_system", no_solve)
+        assert run_config(tmp_path, {"params": {"K": 10.0}}, "price") == 2
+        assert capsys.readouterr().err.startswith(
+            "validation error: eta0 = -10 lies outside the eta domain")
+        for name in ("nodes.csv", "surface.csv", "quotes.csv"):
+            assert not (tmp_path / "out" / name).exists(), name
 
     def test_bad_market_param(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -271,10 +271,15 @@ class TestAssemble:
             spec = qa.grid_spec_direct(params(), 2, n)
             N = spec.N_tau1
             ops = qa.build_operators(spec, params())
-            # the dense parts summed, and the band the solver factors
+            # the dense parts summed, and E^-1 C~ E from the diagonals the
+            # solver factors, E^-1 = I + m e_{N-1} e_{N-2}^T
+            dl, d, du, m = ops.Ct
+            E, E_inv = np.eye(N), np.eye(N)
+            E[N - 1, N - 2], E_inv[N - 1, N - 2] = -m, m
+            C_tilde = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
             for Ct in (spec.delta_tau1 * (qa.build_time_derivative(spec)
                                           + ops.C_close),
-                       ops.Ct.toarray()):
+                       E_inv @ C_tilde @ E):
                 expect = np.zeros(N)
                 expect[N - 2:] = [-2.0, 1.5]
                 if N >= 3:
@@ -290,11 +295,12 @@ class TestAssemble:
     @pytest.mark.parametrize("n_tau1", [1, 2, 3, 4, 7])
     def test_time_diagonals_similar_to_closed_operator(self, n_tau1):
         # E^-1 C~ E is the dense closed Ct, with E = I - m e_{N-1} e_{N-2}^T
-        # the row operation and C~ the tridiagonal of time_diagonals
+        # the row operation and C~ the tridiagonal of build_time_operator
         spec = qa.grid_spec_direct(params(), 2, n_tau1)
         N = spec.N_tau1
         ops = qa.build_operators(spec, params())
-        dl, d, du, m = qa.grid.time_diagonals(ops.Ct.data)
+        dl, d, du, m = ops.Ct
+        assert [len(v) for v in (dl, d, du)] == [N - 1, N, N - 1]
         C_tilde = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
         E = np.eye(N)
         E[N - 1, N - 2] = -m

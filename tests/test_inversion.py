@@ -23,11 +23,12 @@ def params(**kw):
 
 
 def test_import_leaves_out_sparse_linalg():
-    # the package needs no scipy.sparse.linalg (LinearOperator, ARPACK)
-    # and no scipy.fft (the sine and cosine bases are built directly):
-    # a fresh interpreter's `import qasian` loads neither
-    code = ("import sys, qasian; print([m for m in ('scipy.sparse.linalg', "
-            "'scipy.fft') if m in sys.modules])")
+    # the package needs no scipy.sparse (the time operator is kept as its
+    # three diagonals), so no scipy.sparse.linalg (LinearOperator, ARPACK),
+    # and no scipy.fft (the sine and cosine bases are built directly): a
+    # fresh interpreter's `import qasian` loads none of them
+    code = ("import sys, qasian; print([m for m in ('scipy.sparse', "
+            "'scipy.sparse.linalg', 'scipy.fft') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(qa.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
@@ -217,8 +218,8 @@ class TestSpaceTimeSystem:
     @pytest.mark.parametrize("n_tau1", [1, 2, 3])
     def test_solves_match_dense_kronecker_sum(self, n_tau1, monkeypatch):
         # AB_inv = M^-1 (I (x) A1) and its adjoint against dense solves of
-        # M; at N_tau1 = 2 Ct's band (two below the diagonal, one above)
-        # is wider than Ct itself
+        # M; at N_tau1 = 2 the closure row reaches no column N - 3, so
+        # m = 0 and C~ is Ct itself
         p = params(sigma=0.7, r=0.03)
         spec = qa.grid_spec_direct(p, 4, n_tau1)
         shapes = []
@@ -370,6 +371,22 @@ class TestSpaceTimeSystem:
                 assert np.array_equal(got, kept), name
                 assert np.array_equal(x, before), name
 
+    @pytest.mark.parametrize("n_tau1", [1, 2, 3, 7])
+    def test_time_product_matches_dense(self, n_tau1):
+        # Ct X and Ct^T X through C~ and the row update, against the dense
+        # delta_tau1 (C_tau1 + C_close) and its transpose; the grid is
+        # left as it was
+        spec = qa.grid_spec_direct(params(), 2, n_tau1)
+        ops = qa.build_operators(spec, params())
+        Ct = spec.delta_tau1 * (ops.C_tau1 + ops.C_close)
+        apply_Ct = qa.inversion._time_operator(ops.Ct)
+        X = np.random.default_rng(n_tau1).normal(size=(spec.N_tau1, 5))
+        before = X.copy()
+        for adjoint, ref in ((False, Ct @ X), (True, Ct.T @ X)):
+            got = apply_Ct(X, adjoint)
+            assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+            assert np.array_equal(X, before)
+
     @pytest.mark.parametrize("n_tau1", [1, 2, 3])
     def test_block_sweep_matches_dense_sylvester(self, n_tau1):
         # _block_solver, forward and adjoint, against the dense Kronecker
@@ -380,8 +397,8 @@ class TestSpaceTimeSystem:
         ops = qa.build_operators(spec, p)
         T, _ = qa.inversion.schur((ops.C_eta1 + ops.C_eta2).T, output="real")
         assert {hi - lo for lo, hi in qa.inversion._schur_blocks(T)} == {1, 2}
-        solve = qa.inversion._block_solver(ops.Ct.data, T)
-        Ct = ops.Ct.toarray()
+        solve = qa.inversion._block_solver(ops.Ct, T)
+        Ct = spec.delta_tau1 * (ops.C_tau1 + ops.C_close)
         I_t, I_x = np.eye(spec.N_tau1), np.eye(spec.N_eta)
         F = np.random.default_rng(n_tau1).normal(
             size=(spec.N_tau1, spec.N_eta))
@@ -391,23 +408,21 @@ class TestSpaceTimeSystem:
             got = solve(F, None, adjoint).reshape(-1)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("Ct, s", [
-        ([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], -1.0),
-        ([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], 1j),
-        ([[1, 1], [0, 2]], -1.0),
-        ([[0, 1], [-1, 0]], 1j),
+    @pytest.mark.parametrize("dl, d, du, s", [
+        ([-1, 0], [0, 0, 1], [1, 0], -1.0),
+        ([-1, 0], [0, 0, 1], [1, 0], 1j),
+        ([0], [1, 2], [1], -1.0),
+        ([-1], [0, 0], [1], 1j),
     ], ids=["tridiagonal-real", "tridiagonal-complex", "2x2-real",
             "2x2-complex"])
-    def test_singular_shift(self, Ct, s):
-        # each hand-built Ct has -s as an eigenvalue, so Ct + s I is
-        # exactly singular; Ct + (s + 1/2) I is not, and is solved
-        # forward and transposed (no closure entry here, so E = I)
-        Ct = np.array(Ct, dtype=float)
+    def test_singular_shift(self, dl, d, du, s):
+        # each hand-built tridiagonal Ct has -s as an eigenvalue, so
+        # Ct + s I is exactly singular; Ct + (s + 1/2) I is not, and is
+        # solved forward and transposed (no closure entry here, so m = 0)
+        diagonals = tuple(np.array(v, dtype=float) for v in (dl, d, du))
+        diagonals += (0.0,)
+        Ct = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
         n = len(Ct)
-        band = np.zeros((4, n))  # data[1 + i - j, j] = Ct[i, j]
-        for i, j in zip(*np.nonzero(Ct)):
-            band[1 + i - j, j] = Ct[i, j]
-        diagonals = qa.grid.time_diagonals(band)
         with pytest.raises(SingularFactorError, match="singular"):
             qa.inversion._shifted_solver(diagonals, s)
         solve = qa.inversion._shifted_solver(diagonals, s + 0.5)
