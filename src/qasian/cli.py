@@ -166,10 +166,9 @@ def _market(cfg):
 
 
 def _solved(params):
-    """The market whose profile every command solves: a put's family call
-    (oracle.PARITY_CALL), which prices the put by parity; else params."""
-    return dataclasses.replace(
-        params, kind=oracle.PARITY_CALL.get(params.kind, params.kind))
+    """The market whose profile every command solves: the call of the
+    kind's grid.PAYOFFS entry, which prices a put by parity."""
+    return dataclasses.replace(params, kind=grid.PAYOFFS[params.kind][2])
 
 
 def _spec(cfg, params):
@@ -301,7 +300,8 @@ def run_pipeline(cfg):
             _emit_extraction_csvs(out, spec, params, result)
 
             summary["stage"] = "price"
-            quote = _price_from_state(state, spec, solved, cfg, est, scale)
+            quote = _price_from_state(state, spec, solved, cfg, est, scale,
+                                      eta0)
             summary["extraction"]["price_ae_calls"] = (est.calls
                                                        - result.ae_calls)
             summary["extraction"]["price_ae_cost"] = (est.total_cost
@@ -324,20 +324,18 @@ def run_pipeline(cfg):
         _write_summary(out, summary)
 
 
-def _price_from_state(state, spec, params, cfg, est, scale):
+def _price_from_state(state, spec, params, cfg, est, scale, eta0):
     """Price today (t = 0, no accumulated average): psi at (eta0, T).
 
     tau1 = T is the ghost slice of the closure row, so psi there is the
     grid.END_GHOST extrapolation of the last three slices (at
     N_tau1 = 2 the oldest of them is the tau1 = 0 payoff, known without
     a measurement).  |psi| is read at the two lattice cells bracketing
-    eta0 (run_pipeline has checked that it lies in the domain), slice by
+    eta0 (as run_pipeline computes and checks it), slice by
     slice in one extraction._estimate_blocks call with one single-cell
     run each, and interpolated linearly in eta.  `scale` relates squared
     amplitudes to psi^2, as in extraction.extract_psi_2d.
     """
-    S0 = cfg["oracle"]["S0"]
-    eta0, _ = oracle.eta_of(S0, 0.0, 0.0, params)
     eta = grid.eta_nodes(spec, params)
     x = int(np.clip(np.searchsorted(eta, eta0) - 1, 0, spec.N_eta - 2))
     amps = np.asarray(state.amplitudes).reshape(spec.N_tau1, spec.N_eta)
@@ -351,7 +349,8 @@ def _price_from_state(state, spec, params, cfg, est, scale):
     psi_T = sum(g * row for g, row in zip(grid.END_GHOST, slices))
     w = (eta0 - eta[x]) / (eta[x + 1] - eta[x])
     psi_val = (1.0 - w) * psi_T[0] + w * psi_T[1]
-    return oracle.price_from_psi(psi_val, S0, 0.0, 0.0, params)
+    return oracle.price_from_psi(psi_val, cfg["oracle"]["S0"], 0.0, 0.0,
+                                 params)
 
 
 def _emit_extraction_csvs(out, spec, params, result):
@@ -454,11 +453,12 @@ def run_dump_encoding(cfg, which):
     params = _market(cfg)
     spec = _spec(cfg, params)
     if which == "ctau1":
+        inversion.check_square_cap("N_tau1", spec.N_tau1)
         be = circuits.build_ctau1_encoding(spec)
-    elif which == "eta":
-        be = circuits.encode_eta(spec)
-    elif which == "spectral":
-        be = circuits.encode_spectral(spec)
+    elif which in ("eta", "spectral"):
+        inversion.check_square_cap("N_eta", spec.N_eta)
+        be = (circuits.encode_eta if which == "eta"
+              else circuits.encode_spectral)(spec)
     else:
         raise ValidationError(f"unknown encoding {which!r}")
     desc = circuits.encoding_report(be)

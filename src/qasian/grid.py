@@ -54,7 +54,17 @@ END_GHOST = np.array([1.0, -3.0, 3.0])
 #: Largest time register make_grid tries.
 N_TAU1_CAP = 24
 
-KINDS = ("avg_rate_call", "avg_rate_put", "avg_strike_call", "avg_strike_put")
+#: Each payoff kind as (family, sign, the call whose solve prices it): it
+#: pays max(sign*(A - X), 0) on the average A, X = K for the "rate" family
+#: and S_T for the "strike" family, so max(sign*(eta - eta_X), 0) over S_T
+#: with eta_X = 0 or 1 (Rogers and Shi, J. Appl. Prob. 32(4), 1995).
+PAYOFFS = {
+    "avg_rate_call": ("rate", 1, "avg_rate_call"),
+    "avg_rate_put": ("rate", -1, "avg_rate_call"),
+    "avg_strike_call": ("strike", -1, "avg_strike_call"),
+    "avg_strike_put": ("strike", 1, "avg_strike_call"),
+}
+KINDS = tuple(PAYOFFS)
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ class MarketParams:
     T: float
     K: float
     eta_max: float
-    kind: str = "avg_rate_call"
+    kind: str = KINDS[0]
 
     def __post_init__(self):
         for name in ("sigma", "r", "q", "T", "K", "eta_max"):
@@ -400,7 +410,7 @@ def triangular(u):
 
 
 def psi0(params, eta, kink_shift=0.0):
-    """Initial profile psi(eta, 0) for the selected payoff family.
+    """Initial profile psi(eta, 0), max(sign*(eta - eta_X), 0) (PAYOFFS).
 
     The average-rate call payoff max(eta, 0) grows to the domain edge;
     it is replaced by the triangular continuation
@@ -411,18 +421,12 @@ def psi0(params, eta, kink_shift=0.0):
     kink-alignment studies); 0 keeps the canonical placement.
     """
     eta = np.asarray(eta, dtype=float)
-    k = params.kind
-    if k == "avg_rate_call":
+    if params.kind == "avg_rate_call":
         center = params.eta_max / 2.0 + kink_shift
         half = params.eta_max / 2.0
         return half * triangular((eta - center) / half)
-    if k == "avg_rate_put":
-        return np.maximum(-eta, 0.0)
-    if k == "avg_strike_call":
-        return np.maximum(1.0 - eta, 0.0)
-    if k == "avg_strike_put":
-        return np.maximum(eta - 1.0, 0.0)
-    raise ValidationError(f"unknown kind {k!r}")
+    family, sign, _ = PAYOFFS[params.kind]
+    return np.maximum(sign * (eta - (0.0 if family == "rate" else 1.0)), 0.0)
 
 
 def build_rhs(spec, params, kink_shift=0.0):

@@ -29,14 +29,13 @@ from .errors import (AliasingError, DimensionCapError, NormConvergenceError,
                      SingularFactorError, ValidationError)
 from . import grid as grid_mod
 
-#: Largest space-time dimension N_tau1 * N_eta the solver accepts.  On a
-#: shared 2-core x86 VM with 2 BLAS threads, `qasian price` at sigma=1,
-#: n_eta=7 (512 x 128, dim 2^16) took 1.8 s at a peak RSS of 72 MB, and
-#: at sigma=0.5, n_eta=8 (512 x 256, dim 2^17) 2.8-3.1 s at 83 MB (three
-#: runs each).  The spatial operators are dense N_eta x N_eta matrices, so
-#: N_eta^2 is held to the same cap: at sigma=0.002, n_eta=12 (make_grid
-#: picks 2 x 4096, dim 2^13) `qasian price` ran 76 s at a 2.26 GB peak
-#: RSS before its residual check failed.
+#: Largest space-time dimension N_tau1 * N_eta the solver accepts; the
+#: condition report's cost grows faster than dim, so the cap bounds a
+#: run's time.  The spatial operators are dense N_eta x N_eta matrices, so
+#: N_eta^2 is held to the same cap: without it, sigma=0.002, n_eta=12
+#: (make_grid picks 2 x 4096, dim 2^13) ran `qasian price` to a 2.26 GB
+#: peak RSS before its residual check failed.  `dump-encoding` holds the
+#: register it encodes as a dense unitary to the same N^2 rule.
 DIM_CAP = 2 ** 17
 
 #: Smallest eigenvalue magnitude fast_invert_exact reciprocates.
@@ -179,10 +178,16 @@ def check_dim_cap(spec):
     if spec.dim > DIM_CAP:
         raise DimensionCapError(
             f"dimension 2^{spec.n_tau1 + spec.n_eta} exceeds cap {DIM_CAP}")
-    if spec.N_eta ** 2 > DIM_CAP:
+    check_square_cap("N_eta", spec.N_eta)
+
+
+def check_square_cap(name, N):
+    """Raise DimensionCapError if N^2, the entries of a dense N x N
+    operator, exceeds DIM_CAP."""
+    if N ** 2 > DIM_CAP:
         raise DimensionCapError(
-            f"N_eta^2 = {spec.N_eta ** 2} (the entries of each dense "
-            f"spatial operator) exceeds cap {DIM_CAP}")
+            f"{name}^2 = {N ** 2} (the entries of a dense {name} x {name} "
+            f"operator) exceeds cap {DIM_CAP}")
 
 
 class SpaceTimeSystem:
@@ -195,7 +200,7 @@ class SpaceTimeSystem:
     exactly, in real arithmetic, by the Hessenberg-Schur method (Golub,
     Nash and Van Loan, IEEE TAC 24(6), 1979).  Ct is held only as the
     tridiagonal C~ = E Ct E^-1 of grid.build_time_operator, E one row
-    operation: Ct X = E^-1 C~ E X (_time_operator).  Only the
+    operation, and applied as its stencil (_time_operator).  Only the
     N_eta x N_eta L^T = V T V^T is brought to real Schur form: V is
     orthogonal and T quasi-upper-triangular, with a 1 x 1 diagonal block
     per real eigenvalue of L and a 2 x 2 block per complex pair.  With
@@ -350,21 +355,24 @@ def _schur_blocks(T):
 
 
 def _time_operator(diagonals):
-    """Ct as a map of grids from grid.build_time_operator's (dl, d, du, m):
-    X -> E^-1 C~ E X, or for the adjoint E^T C~^T E^-T X, each E factor
-    the row update of _block_solver."""
-    dl, d, du, m = diagonals
-    dl, d, du = dl[:, None], d[:, None], du[:, None]
+    """Ct as a map of grids, for the N_tau1 of grid.build_time_operator's
+    (dl, d, du, m): the central stencil (X[t+1] - X[t-1])/2 with zero
+    ends, plus the closure row's ghost (grid._closure_row) added to row
+    N-1.  The adjoint is the negated stencil, with the ghost spread back
+    over the closure's columns."""
+    cols, g = grid_mod._closure_row(diagonals[1].size)
+    g = g[:, None] / 2.0
 
     def apply(X, adjoint):
-        i, j, e = (-2, -1, m) if adjoint else (-1, -2, -m)
-        lower, upper = (du, dl) if adjoint else (dl, du)
-        X = X.copy()
-        X[i] += e * X[j]
-        Y = d * X
-        Y[1:] += lower * X[:-1]
-        Y[:-1] += upper * X[1:]
-        Y[i] -= e * Y[j]
+        Y = np.empty_like(X)
+        Y[:-1] = X[1:]
+        Y[-1] = 0.0
+        Y[1:] -= X[:-1]
+        Y *= -0.5 if adjoint else 0.5
+        if adjoint:
+            Y[cols] += g * X[-1]
+        else:
+            Y[-1] += (g * X[cols]).sum(axis=0)
         return Y
     return apply
 

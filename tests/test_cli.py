@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as hs
 import numpy as np
 import pytest
 
-from qasian import cli, extraction, grid, inversion, oracle
+from qasian import circuits, cli, extraction, grid, inversion, oracle
 from qasian.errors import NoiseDominationWarning, ValidationError
 
 
@@ -295,6 +295,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert key in err and "exceeds cap" in err
         assert not (tmp_path / "out" / "C_eta1.csv").exists()
+
+    @pytest.mark.parametrize("which,key", [
+        ("spectral", "N_eta^2 = 262144"), ("eta", "N_eta^2 = 262144"),
+        # make_grid picks n_tau1 = 10 at the default market's n_eta = 9
+        ("ctau1", "N_tau1^2 = 1048576")])
+    def test_dump_encoding_dimension_cap(self, tmp_path, capsys, monkeypatch,
+                                         which, key):
+        # the encoded register's dense N x N operator is held to the
+        # solver's cap before the unitary, larger still, is built
+        def no_build(*args, **kwargs):
+            raise AssertionError("encoding built past the dimension cap")
+        for name in ("build_ctau1_encoding", "encode_eta", "encode_spectral"):
+            monkeypatch.setattr(circuits, name, no_build)
+        assert run(tmp_path, "--n-eta", "9", "dump-encoding", which) == 3
+        err = capsys.readouterr().err
+        assert key in err and "exceeds cap" in err
+        assert not list(tmp_path.glob("encoding_*"))
 
     @pytest.mark.parametrize("config,command,key", [
         ({"extraction": {"ae_eps": -0.5}}, "price", "extraction.ae_eps"),

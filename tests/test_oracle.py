@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import qasian as qa
-from qasian import oracle
+from qasian import grid, oracle
 from qasian.errors import QasianError, ValidationError
 
 
@@ -310,7 +310,7 @@ class TestPriceMaps:
         # sample mean, whose standard error is at most the sum of the
         # two quotes'; it lies within three of those of the closed form
         p_put = params(kind=put, **market)
-        p_call = params(kind=oracle.PARITY_CALL[put], **market)
+        p_call = params(kind=grid.PAYOFFS[put][2], **market)
         call = oracle.monte_carlo_price(p_call, S0, 100_000, 64, seed=5)
         put_q = oracle.monte_carlo_price(p_put, S0, 100_000, 64, seed=5)
         gap = (call.value - put_q.value) - oracle.parity_offset(p_put, S0)
@@ -319,6 +319,50 @@ class TestPriceMaps:
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValidationError):
             oracle.PriceQuote(1.0, -0.1, "x")
+
+
+def _draws():
+    """Averages A and terminal prices S_T > 0, 1000 of each."""
+    rng = np.random.default_rng(31)
+    return rng.uniform(0.05, 3.0, 1000), rng.uniform(0.05, 3.0, 1000)
+
+
+class TestPayoffTable:
+    @pytest.mark.parametrize("kind", grid.KINDS)
+    def test_payoff_is_s_T_times_psi0(self, kind):
+        # at expiry (t = T, tau1 = 0) a path pays S_T psi0(eta); the rate
+        # call's psi0 is its payoff max(eta, 0) only up to eta_max/2,
+        # where its triangular continuation turns back
+        p = params(kind=kind, T=1.5, K=0.9)
+        avg, s_T = _draws()
+        eta, tau1 = oracle.eta_of(s_T, avg * p.T, p.T, p)
+        assert np.all(tau1 == 0.0)
+        keep = eta <= (p.eta_max / 2 if kind == "avg_rate_call" else np.inf)
+        payoff = oracle._payoff(p, avg, s_T)[keep]
+        want = s_T[keep] * grid.psi0(p, eta[keep])
+        assert np.count_nonzero(payoff) > 100
+        assert np.allclose(payoff, want, rtol=1e-12,
+                           atol=1e-12 * np.max(want))
+
+    @pytest.mark.parametrize("put", [k for k in grid.KINDS
+                                     if grid.PAYOFFS[k][2] != k])
+    def test_call_minus_put_is_parity_offset(self, put):
+        # call minus put is a payoff linear in (A, S_T) on every path, and
+        # its risk-neutral value, from E[A] and E[S_T], is parity_offset
+        market = dict(sigma=0.5, r=0.03, q=0.02, K=0.9)
+        p_put = params(kind=put, **market)
+        p_call = params(kind=grid.PAYOFFS[put][2], **market)
+        avg, s_T = _draws()
+        diff = oracle._payoff(p_call, avg, s_T) - oracle._payoff(p_put, avg,
+                                                                 s_T)
+        basis = np.column_stack([avg, s_T, np.ones_like(avg)])
+        coef = np.linalg.lstsq(basis, diff, rcond=None)[0]
+        assert np.allclose(basis @ coef, diff, rtol=0.0, atol=1e-12)
+        S0, T = 1.3, p_put.T
+        means = [oracle.closed_form_average_mean(p_put, S0),
+                 S0 * np.exp((p_put.r - p_put.q) * T), 1.0]
+        assert np.exp(-p_put.r * T) * (coef @ means) == pytest.approx(
+            oracle.parity_offset(p_put, S0), rel=1e-12)
 
 
 class TestBrutePrefixSum:
