@@ -173,13 +173,14 @@ def _z_string_matrix(mask, n):
     return np.diag((1 - 2 * parity).astype(complex))
 
 
-def encode_diagonal(op, n, tol=1e-14):
+def encode_diagonal(op, n):
     """LCU block-encoding of a diagonal operator via its Z-string expansion.
 
     The identity slot is always reserved (even at zero coefficient), so
     an operator supported on single-qubit Z terms uses
     ceil(log2(n_terms + 1)) ancillas, matching the qubit accounting of
-    the circuit constructions.
+    the circuit constructions.  Z strings whose coefficient is at most
+    1e-14 in magnitude are dropped.
     """
     op = np.asarray(op)
     if op.ndim != 2 or np.any(op != np.diag(np.diag(op))):
@@ -188,7 +189,7 @@ def encode_diagonal(op, n, tol=1e-14):
     coeffs = _z_string_coefficients(diag, n)
     terms = [(coeffs[0], np.eye(2 ** n, dtype=complex))]
     for mask in range(1, 2 ** n):
-        if abs(coeffs[mask]) > tol:
+        if abs(coeffs[mask]) > 1e-14:
             terms.append((coeffs[mask], _z_string_matrix(mask, n)))
     return lcu(terms, 2 ** n)
 
@@ -272,11 +273,13 @@ def be_lincomb(d1, u, d2, v):
                          abs(d1) * u.err + abs(d2) * v.err)
 
 
-def be_apply(be, state, prob_floor=1e-12):
+def be_apply(be, state):
     """Post-selected application of an encoded operator to a state.
 
     Returns the normalized state (A/alpha)|psi>/||.|| and the ancilla
-    all-zero success probability ||(A/alpha)|psi>||^2.
+    all-zero success probability ||(A/alpha)|psi>||^2.  Below a success
+    probability of 1e-12 it warns (PostSelectionWarning) and returns the
+    zero state.
     """
     amps = state.amplitudes
     d = be.dim_system
@@ -284,10 +287,10 @@ def be_apply(be, state, prob_floor=1e-12):
         raise ValidationError("state dimension does not match encoding")
     out = be.unitary[:d, :d] @ amps
     success = float(np.vdot(out, out).real)
-    if success < prob_floor:
+    if success < 1e-12:
         warnings.warn(
             f"post-selection probability {success:.3e} below floor "
-            f"{prob_floor:.1e}", PostSelectionWarning)
+            "1.0e-12", PostSelectionWarning)
         normed = np.zeros_like(out)
     else:
         normed = out / math.sqrt(success)

@@ -189,13 +189,12 @@ def make_grid(params, n_eta, eps_target, scale_c=1.0, band=1.5, c_smooth=1.0,
     """Choose the smallest feasible time register for a given eta register.
 
     The target time step is t_star = scale_c * delta_hat^2 * ln(1/eps) /
-    sigma^2; a candidate n_tau1 is accepted when delta_tau1 <= band *
-    t_star (the smallest such n_tau1 keeps the step within a factor
-    ~2*band of the target whenever the target is reachable at all, and
-    the one-sided test keeps low-volatility cases feasible, where even
-    the coarsest admissible step T/3 sits below the target) and the
-    smoothing inequality T*sigma^2*N_eta^2/N_tau1 >= c_smooth*ln(1/eps)
-    holds.
+    sigma^2.  The smallest n_tau1 is taken for which delta_tau1 <= band *
+    t_star and the smoothing inequality T*sigma^2*N_eta^2/N_tau1 >=
+    c_smooth*ln(1/eps) holds.  It keeps the step within about 2*band of
+    the target whenever the target is reachable; the test is one-sided so
+    that low-volatility markets, where even the coarsest step T/3 lies
+    below the target, stay feasible.
     """
     _check_n_eta(n_eta)
     if not params.sigma > 0:
@@ -463,7 +462,8 @@ def build_operators(spec, params, kink_shift=0.0):
 
     * diffusion, C_eta1 = A1 A2, is -delta_tau1 * (sigma^2 eta^2 / 2)
       d^2/d eta^2 in the spectral discretization, i.e. the diffusion
-      term moved to the left-hand side;
+      term moved to the left-hand side; the split's B =
+      (I (x) A1^-1)(Ct (x) I + I (x) C_eta2) rests on this identity;
     * drift, C_eta2 = delta_tau1 * ((r-q)*eta - 1/T) * Delta_eta, is
       -((1/T) - (r-q)*eta) d/d eta on the spectral grid (finite at r = q).
     """

@@ -32,10 +32,9 @@ from . import grid as grid_mod
 #: Largest space-time dimension N_tau1 * N_eta the solver accepts; the
 #: condition report's cost grows faster than dim, so the cap bounds a
 #: run's time.  The spatial operators are dense N_eta x N_eta matrices, so
-#: N_eta^2 is held to the same cap: without it, sigma=0.002, n_eta=12
-#: (make_grid picks 2 x 4096, dim 2^13) ran `qasian price` to a 2.26 GB
-#: peak RSS before its residual check failed.  `dump-encoding` holds the
-#: register it encodes as a dense unitary to the same N^2 rule.
+#: N_eta^2 is held to the same cap, which also bounds a short, wide grid's
+#: memory.  `dump-encoding` holds the register it encodes as a dense
+#: unitary to the same N^2 rule.
 DIM_CAP = 2 ** 17
 
 #: Smallest eigenvalue magnitude fast_invert_exact reciprocates.
@@ -201,50 +200,33 @@ class SpaceTimeSystem:
     Nash and Van Loan, IEEE TAC 24(6), 1979).  Ct is held only as the
     tridiagonal C~ = E Ct E^-1 of grid.build_time_operator, E one row
     operation, and applied as its stencil (_time_operator).  Only the
-    N_eta x N_eta L^T = V T V^T is brought to real Schur form: V is
-    orthogonal and T quasi-upper-triangular, with a 1 x 1 diagonal block
-    per real eigenvalue of L and a 2 x 2 block per complex pair.  With
-    Z = X V and F = C V the equation becomes S Z = Ct Z + Z T = F, and
-    its column blocks solve in order: block J takes
-    Ct Z_J + Z_J T_JJ = F_J - Z[:, :J] T[:J, J].  The sweep runs in the
-    coordinates of C~: F is taken to E F once on entry and Z back once on
-    exit.  So each block is one tridiagonal system of N_tau1 unknowns
-    (_block_solver): a 1 x 1 block the real shifted system C~ + T_jj I,
-    and a 2 x 2 block one complex shifted system C~ + (a + i w) I (at
-    N_tau1 = 2, a 2 x 2 dense one).  S^T Z = F runs the blocks backwards
-    through the same factors, transposed, between E^-T on entry and E^T
-    on exit.  Ct is not normal (its closure row), which this route does
-    not need.  The sweep runs in one (N_tau1, N_eta) workspace, into which
-    F is multiplied, with every view of it taken when the factors are
-    built, so a solve allocates nothing per block.  This one sweep serves
-    every dim: its cost is O(dim) per block on top of a fixed call cost,
-    and the factors grow as N_eta^2 + N_eta*N_tau1 + dim; both dim and
-    N_eta^2 are held to DIM_CAP.
+    N_eta x N_eta L^T = V T V^T is brought to real Schur form, V
+    orthogonal and T quasi-upper-triangular.  With Z = X V and F = C V
+    the equation becomes S Z = Ct Z + Z T = F, which _block_solver
+    sweeps block column by block column, each block one tridiagonal
+    system of N_tau1 unknowns; Ct is not normal (its closure row), which
+    this route does not need.  The sweep costs O(dim) per block on top of
+    a fixed call cost, and its factors grow as N_eta^2 + N_eta*N_tau1 +
+    dim; both dim and N_eta^2 are held to DIM_CAP.
 
-    The split of the dense reference assembly follows from M without
-    forming it: A + B = (I (x) A1^-1) M, A = I (x) A2, B = (A + B) - A and
-    W = I + A^-1 B = (I (x) A2^-1) (A + B).  They are kept as real maps
-    of grids (`AB`, `AB_inv`, `B`, `W`, `W_inv`): op(X, adjoint) applies
-    the operator, or with adjoint true its transpose, to a real
-    (N_tau1, N_eta) grid X and returns the image grid.  With
-    M^-1 X = S^-1 (X V) V^T, (A + B)^-1 = M^-1 (I (x) A1) is one map of
-    _inverse, X -> S^-1 (X G_in) G_out^T with G_in = A1 V and G_out = V:
-    one dgemm into the sweep and one out of it.  W^-1 is
-    (A + B)^-1 (I (x) A2), A2 applied on its own first: folded into one
-    G_in = C_eta1^T V = A2^T A1 V, it leaves the pricing solve's residual
-    W x - rhs_pre 8 to 43 times larger (sigma = 1, n_eta 6 to 8).
-    `report` takes the operators' largest singular values by
-    Golub-Kahan-Lanczos bidiagonalisation (_norm2), in at most NORM_STEPS
-    steps each.  The two inverse norms are taken in Schur coordinates,
-    Y = X V: an orthogonal V changes no norm, and M^-1 (I (x) P) is then
-    Y -> S^-1 (Y G), G = V^T P^T V formed once for P = A1 and for
-    P = A1 A2 = C_eta1, the same _inverse with no output product
-    (`AB_inv_schur`, `W_inv_schur`).  Both runs start from the image
-    under V of the physical runs' start grid, so they take the same
-    number of steps as the physical runs would.  The maps close over the
-    factors, never over the system, so that a system holds no reference
-    to itself and is freed as soon as its caller drops it.  The object
-    stands for W x = rhs_pre on flat vectors of length dim:
+    The split follows from M without forming it: A + B = (I (x) A1^-1) M
+    and A = I (x) A2, and since C_eta1 = A1 A2 (A1 diagonal)
+        B = (I (x) A1^-1)(Ct (x) I + I (x) C_eta2),
+    so A + B and B are one scaled Kronecker sum (scaled_sum), on L and
+    on C_eta2.  W = I + A^-1 B = (I (x) A2^-1)(A + B).  They are kept as
+    real maps of grids (`AB`, `AB_inv`, `B`, `W`, `W_inv`): op(X, adjoint)
+    applies the operator, or with adjoint true its transpose, to a real
+    (N_tau1, N_eta) grid X and returns the image grid.  (A + B)^-1 =
+    M^-1 (I (x) A1) is X -> S^-1 (X A1 V) V^T (_inverse).  W^-1 is (A + B)^-1 (I (x) A2), A2 applied on its own first: folded
+    into the sweep's input product as C_eta1^T V, it leaves the pricing
+    solve's residual W x - rhs_pre 8 to 43 times larger (sigma = 1,
+    n_eta 6 to 8).  `report` takes the inverse norms in Schur
+    coordinates, Y = X V, where the orthogonal V changes no norm:
+    M^-1 (I (x) P) is Y -> S^-1 (Y V^T P^T V) for P = A1 and P = C_eta1,
+    with no output product (`AB_inv_schur`, `W_inv_schur`).  The maps
+    close over the factors, never over the system, so that a system holds
+    no reference to itself and is freed as soon as its caller drops it.
+    The object stands for W x = rhs_pre on flat vectors of length dim:
     `system @ x` is W x and `system.solve(r)` is W^-1 r.
     """
 
@@ -259,30 +241,29 @@ class SpaceTimeSystem:
         solve_schur = _block_solver(ops.Ct, T)
         apply_Ct = _time_operator(ops.Ct)
         a1_inv = np.diag(fast_invert_exact("A1", spec, params))
-        apply_A = _blocks(ops.A2)
         apply_A2_inv = _blocks(fast_invert_exact("A2", spec, params))
 
         # Products go through scipy's BLAS (dgemm; trans_b=1 is the
         # transpose), the library of the LAPACK solves and _norm2: numpy
-        # ships its own OpenBLAS, and interleaving the two libraries'
-        # thread pools slowed the report five-fold on two cores.
+        # ships its own OpenBLAS, whose thread pool contends with scipy's.
 
-        def apply(X, adjoint):
-            """M X = Ct X + X L^T, or M^T X = Ct^T X + X L."""
-            return apply_Ct(X, adjoint) + dgemm(1.0, X, Lt, trans_b=adjoint)
-
-        def ab(X, adjoint):
-            """A + B = (I (x) A1^-1) M, A1 a column scaling."""
-            if adjoint:
-                return apply(X * a1_inv, True)
-            return apply(X, False) * a1_inv
+        def scaled_sum(Kt):
+            """(I (x) A1^-1)(Ct (x) I + I (x) K) for Kt = K^T:
+            X -> (Ct X + X K^T) A1^-1, A1 a column scaling, whose adjoint
+            is X -> Ct^T Y + Y K with Y = X A1^-1."""
+            def apply(X, adjoint):
+                if adjoint:
+                    Y = X * a1_inv
+                    return apply_Ct(Y, True) + dgemm(1.0, Y, Kt, trans_b=1)
+                return (apply_Ct(X, False) + dgemm(1.0, X, Kt)) * a1_inv
+            return apply
 
         G_AB = V * np.diag(ops.A1)[:, None]  # A1 V, A1 diagonal
-        self.AB = ab
+        self.AB = scaled_sum(Lt)
         self.AB_inv = _inverse(solve_schur, G_AB, V)
-        self.B = lambda X, adjoint: ab(X, adjoint) - apply_A(X, adjoint)
-        self.W = _compose(apply_A2_inv, ab)
-        self.W_inv = _compose(self.AB_inv, apply_A)
+        self.B = scaled_sum(ops.C_eta2.T)
+        self.W = _compose(apply_A2_inv, self.AB)
+        self.W_inv = _compose(self.AB_inv, _blocks(ops.A2))
         self.V = V
         self.AB_inv_schur = _inverse(
             solve_schur, dgemm(1.0, V, G_AB, trans_a=1), None)
@@ -402,8 +383,8 @@ def _shifted_solver(diagonals, s):
         dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_d=1)
 
         def solve(y, trans):
-            # positional (overwrite_b=1): f2py's keyword parsing costs a
-            # third of a call at N_tau1 = 128
+            # positional (overwrite_b=1): f2py's keyword parsing is a
+            # large share of a call this small
             gttrs(dl, d, du, du2, ipiv, y, trans, 1)
     if info != 0:
         raise SingularFactorError(
@@ -445,9 +426,8 @@ def _block_solver(diagonals, T):
     F = np.empty((N_tau1, n), order="F")
     y_pair = np.empty(N_tau1, dtype=complex)
     # (Re y, Im y) as a (2, N_tau1) view, matching each block's transposed
-    # columns: row-major traversal then runs along N_tau1 (on a 2-core x86
-    # VM, one multiply and divide in (N_tau1, 2) order took 5.2 / 13.7 us
-    # at N_tau1 128 / 512, against 3.0 / 3.7 us)
+    # columns: row-major traversal then runs along N_tau1, not across the
+    # interleaved pair
     y_parts = y_pair.view(float).reshape(-1, 2).T
     steps = {False: [], True: []}
     for lo, hi in _schur_blocks(T):
@@ -599,10 +579,11 @@ def condition_report(A, B, W):
     return PreconditionReport(kappa_raw, kappa_W, C_AB, C_AB_prime)
 
 
-def solve_system(W, rhs_pre, tol=1e-10):
+def solve_system(W, rhs_pre):
     """Direct solve of the preconditioned system with a residual check.
 
-    W is a SpaceTimeSystem or a dense matrix.  Stands in for the
+    W is a SpaceTimeSystem or a dense matrix; a relative residual above
+    1e-10 raises SingularFactorError.  Stands in for the
     polynomial-approximation inverse of the quantum pipeline; the
     conditioning and accuracy claims under test do not depend on the
     solver.
@@ -615,9 +596,9 @@ def solve_system(W, rhs_pre, tol=1e-10):
     except np.linalg.LinAlgError as exc:
         raise SingularFactorError(f"system solve failed: {exc}") from exc
     res = np.linalg.norm(W @ x - rhs_pre) / max(np.linalg.norm(rhs_pre), 1e-300)
-    if not np.isfinite(res) or res > tol:
+    if not np.isfinite(res) or res > 1e-10:
         raise SingularFactorError(
-            f"relative residual {res:.3e} exceeds tolerance {tol:.1e}")
+            f"relative residual {res:.3e} exceeds tolerance 1.0e-10")
     return x
 
 

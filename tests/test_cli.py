@@ -595,6 +595,25 @@ class TestOpenPriceFaults:
         value, _ = _price(tmp_path, 5)
         assert value > 0
 
+    @pytest.mark.parametrize("n_eta", [
+        pytest.param(6, marks=pytest.mark.xfail(
+            strict=True, reason="FOUND (CHANGES.md): the default market "
+            "prices 0.0955 at n_eta = 6; make_grid picks n_tau1 = 3, too "
+            "coarse in time at sigma = 0.3 (0.0851 at n_tau1 = 9)")),
+        7,
+    ])
+    def test_default_call_price_matches_crank_nicolson(self, tmp_path,
+                                                       n_eta):
+        # the default market (sigma = 0.3) against the Crank-Nicolson psi
+        # at eta0 = -1, tau1 = T on a 2048^2 grid (0.07945; Monte-Carlo
+        # 0.0799); the tolerance 0.003 was fixed before any fix of the
+        # default market's price (n_eta = 7 prices 0.08119)
+        value, p = _price(tmp_path, n_eta)
+        lattice, eta, tau1 = oracle.crank_nicolson_solve(p, 2048, 2048)
+        eta0, _ = oracle.eta_of(1.0, 0.0, 0.0, p)
+        cn = oracle.cn_interpolate(lattice, eta, tau1, eta0, p.T)
+        assert abs(value - cn) <= 0.003
+
     def test_put_summary_names_the_solved_call(self, tmp_path):
         # a put's surface files show its call's surface, and summary.json
         # says so
