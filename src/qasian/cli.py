@@ -474,6 +474,8 @@ def run_build(cfg):
     params = _solved(_market(cfg))
     spec = _spec(cfg, params)
     inversion.check_dim_cap(spec)
+    # C_tau1 is exported as a dense N_tau1 x N_tau1 matrix
+    inversion.check_square_cap("N_tau1", spec.N_tau1)
     ops = grid.build_operators(spec, params, kink_shift=cfg["kink_shift"])
     # C_tau1 is exported closed, as the system uses it; the central part
     # alone is the `dump-encoding ctau1` block

@@ -22,8 +22,8 @@ import math
 import numpy as np
 from scipy.linalg import schur
 from scipy.linalg.blas import dgemm, dnrm2
-from scipy.linalg.lapack import (dgetrf, dgetrs, dgttrf, dgttrs, dstebz,
-                                 dstein, zgetrf, zgetrs, zgttrf, zgttrs)
+from scipy.linalg.lapack import (dgetrf, dgetrs, dgttrf, dgttrs, dstemr,
+                                 zgetrf, zgetrs, zgttrf, zgttrs)
 
 from .errors import (AliasingError, DimensionCapError, NormConvergenceError,
                      SingularFactorError, ValidationError)
@@ -217,13 +217,13 @@ class SpaceTimeSystem:
     real maps of grids (`AB`, `AB_inv`, `B`, `W`, `W_inv`): op(X, adjoint)
     applies the operator, or with adjoint true its transpose, to a real
     (N_tau1, N_eta) grid X and returns the image grid.  (A + B)^-1 =
-    M^-1 (I (x) A1) is X -> S^-1 (X A1 V) V^T (_inverse).  W^-1 is (A + B)^-1 (I (x) A2), A2 applied on its own first: folded
-    into the sweep's input product as C_eta1^T V, it leaves the pricing
-    solve's residual W x - rhs_pre 8 to 43 times larger (sigma = 1,
-    n_eta 6 to 8).  `report` takes the inverse norms in Schur
-    coordinates, Y = X V, where the orthogonal V changes no norm:
-    M^-1 (I (x) P) is Y -> S^-1 (Y V^T P^T V) for P = A1 and P = C_eta1,
-    with no output product (`AB_inv_schur`, `W_inv_schur`).  The maps
+    M^-1 (I (x) A1) is X -> S^-1 (X A1 V) V^T (_inverse).  W^-1 is
+    (A + B)^-1 (I (x) A2), A2 applied on its own first: folded into the
+    sweep's input product as C_eta1^T V, it leaves the pricing solve's
+    residual W x - rhs_pre 8 to 43 times larger (sigma = 1, n_eta 6 to
+    8).  `report` takes the inverse norms without the output rotation
+    V^T, which changes no norm: X -> S^-1 (X A1 V) and
+    X -> S^-1 (X C_eta1^T V) (`AB_inv_schur`, `W_inv_schur`).  The maps
     close over the factors, never over the system, so that a system holds
     no reference to itself and is freed as soon as its caller drops it.
     The object stands for W x = rhs_pre on flat vectors of length dim:
@@ -264,11 +264,9 @@ class SpaceTimeSystem:
         self.B = scaled_sum(ops.C_eta2.T)
         self.W = _compose(apply_A2_inv, self.AB)
         self.W_inv = _compose(self.AB_inv, _blocks(ops.A2))
-        self.V = V
-        self.AB_inv_schur = _inverse(
-            solve_schur, dgemm(1.0, V, G_AB, trans_a=1), None)
-        self.W_inv_schur = _inverse(solve_schur, dgemm(
-            1.0, V, dgemm(1.0, ops.C_eta1, V, trans_a=1), trans_a=1), None)
+        self.AB_inv_schur = _inverse(solve_schur, G_AB, None)
+        self.W_inv_schur = _inverse(
+            solve_schur, dgemm(1.0, ops.C_eta1, V, trans_a=1), None)
         self.rhs_pre = apply_A2_inv(
             ops.rhs_hat.reshape(shape) * a1_inv, False).reshape(-1)
 
@@ -282,21 +280,20 @@ class SpaceTimeSystem:
     def report(self):
         """Condition numbers and bound terms from largest singular values.
 
-        Every run starts from the grid of _start_vector(dim); the inverse
-        norms, taken in Schur coordinates (AB_inv_schur, W_inv_schur),
-        start from its image under V, so each of their runs is the image
-        of the physical operator's run under an orthogonal map.
+        All five runs start from the grid of _start_vector(dim).  The
+        inverse norms are taken on AB_inv_schur and W_inv_schur, whose
+        runs are those of AB_inv and W_inv with the orthogonal V^T left
+        off every output: the same norms from fewer dgemm calls.
         """
         start = _start_vector(self.spec.dim).reshape(self.shape)
-        start_schur = dgemm(1.0, start, self.V)
         norm_B = _norm2(self.B, start)
-        norm_AB_inv = _norm2(self.AB_inv_schur, start_schur)
+        norm_AB_inv = _norm2(self.AB_inv_schur, start)
         # ||A^-1|| = ||A2^-1||, the reciprocal of A2's smallest eigenvalue
         norm_A_inv = 1.0 / float(np.min(grid_mod.a2_eigenvalues(self.spec)))
         return PreconditionReport(
             kappa_raw=_norm2(self.AB, start) * norm_AB_inv,
             kappa_W=(_norm2(self.W, start)
-                     * _norm2(self.W_inv_schur, start_schur)),
+                     * _norm2(self.W_inv_schur, start)),
             C_AB=1.0 + norm_AB_inv * norm_B,
             C_AB_prime=1.0 + norm_A_inv * norm_B)
 
@@ -539,14 +536,11 @@ def _top_left(d, e):
     """(theta, y_k): the largest singular value of the k x k upper
     bidiagonal B_k of _norm2, and the last entry of its left singular
     vector y, from the top eigenpair of the tridiagonal B_k B_k^T with
-    diagonal d and off-diagonal e (LAPACK bisection and inverse
-    iteration)."""
-    if d.size == 1:  # B_1 is alpha_1; dstebz's wrapper needs k >= 2
-        return math.sqrt(d[0]), 1.0
-    _, w, block, split, info = dstebz(d, e, 3, 0.0, 0.0, d.size, d.size,
-                                      0.0, "E")
-    if info == 0:
-        y, info = dstein(d, e, w[:1], block, split)
+    diagonal d and off-diagonal e: one LAPACK dstemr call (MRRR, range
+    "I" with il = iu = k).  dstemr takes e of length k and works in it,
+    so it gets a padded copy."""
+    k = d.size
+    _, w, y, info = dstemr(d, np.append(e, 0.0), 2, 0.0, 0.0, k, k)
     if info != 0:
         raise NormConvergenceError(
             f"tridiagonal eigensolver failed (info {info})")

@@ -168,7 +168,6 @@ def monte_carlo_price(params, S0, n_paths, n_steps, seed=0):
     threads, the calling one among them, take the blocks from a shared
     counter; numpy's generator and ufuncs release the GIL.  The payoff,
     its mean and its ddof=1 standard error are taken over all paths.
-    At 10^5 paths x 64 steps a call takes about 65 ms on two cores.
     """
     if n_paths < 1000:
         raise ValidationError("need n_paths >= 1000")

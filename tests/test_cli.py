@@ -283,7 +283,9 @@ class TestExitCodes:
         ({"params": {"sigma": 0.002}, "n_eta": 12}, "N_eta^2 = 16777216"),
         # the largest register prints as a power of two, not 310 digits
         ({"n_tau1": 1023}, "dimension 2^1027 "),
-    ], ids=["dim", "spatial", "largest-n-tau1"])
+        # dim 2^17 is under the cap, but the exported C_tau1 holds 2^30
+        ({"n_eta": 2, "n_tau1": 15}, "N_tau1^2 = 1073741824"),
+    ], ids=["dim", "spatial", "largest-n-tau1", "time"])
     def test_build_dimension_cap(self, tmp_path, capsys, monkeypatch,
                                  config, key):
         # `build` holds its dense operators to the same caps as the

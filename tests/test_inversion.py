@@ -177,6 +177,14 @@ def on_vector(op, x, adjoint, shape):
     return op(x.reshape(shape), adjoint).reshape(-1)
 
 
+def schur_vectors(spec, p):
+    """V of the real Schur form L^T = V T V^T, as SpaceTimeSystem takes
+    it."""
+    ops = qa.build_operators(spec, p)
+    return qa.inversion.schur((ops.C_eta1 + ops.C_eta2).T,
+                              output="real")[1]
+
+
 def _dense_reference(spec, p, kink_shift):
     """Solution and report from the dense assembled system."""
     M, rhs_hat, A, B = assemble_system(spec, p, kink_shift=kink_shift)
@@ -306,20 +314,21 @@ class TestSpaceTimeSystem:
 
     @pytest.mark.parametrize("n_tau1", [1, 2, 3])
     def test_schur_maps_match_dense(self, n_tau1):
-        # the report's inverse maps act on Y = X V: with Q = I (x) V each
-        # is Q^T P^-1 Q for P = A + B or W, forward and adjoint; this
-        # market's L has 2 x 2 Schur blocks, and n_tau1 = 1 is N_tau1 = 2
+        # the report's inverse maps leave off the output rotation: with
+        # Q = I (x) V, V the Schur vectors of L^T, each is Q^T P^-1 for
+        # P = A + B or W, forward and adjoint; this market's L has 2 x 2
+        # Schur blocks, and n_tau1 = 1 is N_tau1 = 2
         p = params(sigma=0.7, r=0.03)
         spec = qa.grid_spec_direct(p, 4, n_tau1)
         W = qa.inversion.SpaceTimeSystem(spec, p)
         _, _, A, B = assemble_system(spec, p)
-        Q = np.kron(np.eye(spec.N_tau1), W.V)
+        Q = np.kron(np.eye(spec.N_tau1), schur_vectors(spec, p))
         W_dense = np.eye(spec.dim) + np.linalg.solve(A, B)
         x = np.random.default_rng(n_tau1).normal(size=spec.dim)
         for name, P in (("AB_inv_schur", A + B), ("W_inv_schur", W_dense)):
             op = getattr(W, name)
-            ref = Q.T @ np.linalg.solve(P, Q @ x)
-            ref_adj = Q.T @ np.linalg.solve(P.T, Q @ x)
+            ref = Q.T @ np.linalg.solve(P, x)
+            ref_adj = np.linalg.solve(P.T, Q @ x)
             for got, want in ((on_vector(op, x, False, W.shape), ref),
                               (on_vector(op, x, True, W.shape), ref_adj)):
                 assert np.linalg.norm(got - want) <= \
@@ -327,7 +336,7 @@ class TestSpaceTimeSystem:
 
     def test_inverses_at_dim_8192(self):
         # sigma = 1, n_eta = 6 (128 x 64), too large for a dense
-        # reference: with Q = I (x) V each inverse is Q (Schur map) Q^T,
+        # reference: with Q = I (x) V each inverse is Q (Schur map),
         # forward and adjoint, through the same sweep; and it undoes its
         # forward operator, whose condition number is ~6e5 here (the round
         # trips measured at most 4.1e-11)
@@ -335,14 +344,16 @@ class TestSpaceTimeSystem:
         spec = qa.make_grid(p, 6, 1e-3)
         assert (spec.N_tau1, spec.N_eta) == (128, 64)
         W = qa.inversion.SpaceTimeSystem(spec, p)
+        V = schur_vectors(spec, p)
         X = np.random.default_rng(6).normal(size=W.shape)
         for name in ("AB_inv", "W_inv"):
             op, schur_op = getattr(W, name), getattr(W, name + "_schur")
             forward = getattr(W, name[:-len("_inv")])
             for adjoint in (False, True):
-                # Q (Schur map) Q^T on grids: X -> schur_op(X V) V^T
+                # on grids: X -> schur_op(X) V^T, adjoint X -> schur_op(X V)
                 got = op(X, adjoint)
-                want = schur_op(X @ W.V, adjoint) @ W.V.T
+                want = (schur_op(X @ V, True) if adjoint
+                        else schur_op(X, False) @ V.T)
                 assert np.linalg.norm(got - want) <= \
                     1e-12 * np.linalg.norm(want), name
                 round_trip = forward(got, adjoint)
@@ -546,6 +557,25 @@ class TestNorm2:
         qa.inversion.SpaceTimeSystem(spec, p).report()
         assert got == counts
 
+    def test_report_runs_share_one_start(self, monkeypatch):
+        # all five runs, the inverse norms among them, start from the one
+        # grid of _start_vector(dim)
+        p = params(sigma=0.7, r=0.03)
+        spec = qa.grid_spec_direct(p, 4, 2)
+        norm2 = qa.inversion._norm2
+        starts = []
+
+        def recording_norm2(op, v):
+            starts.append(v.copy())
+            return norm2(op, v)
+        monkeypatch.setattr(qa.inversion, "_norm2", recording_norm2)
+        W = qa.inversion.SpaceTimeSystem(spec, p)
+        W.report()
+        want = start(spec.dim).reshape(W.shape)
+        assert len(starts) == 5
+        for v in starts:
+            assert np.array_equal(v, want)
+
     def test_report_matches_arpack_record(self):
         # sigma = 1, n_eta = 6 (128 x 64), as reported by ARPACK (svds,
         # tol=0) on the report's own maps of the sine-basis system
@@ -602,6 +632,23 @@ class TestNorm2:
             tracemalloc.stop()
         assert abs(got - 1.01) <= 1e-12
         assert peak < 16 * n * 8, f"tracemalloc peak {peak / 2 ** 20:.1f} MB"
+
+    def test_top_left_matches_eigh(self):
+        # the top eigenpair of a random B_k B_k^T, built as _norm2 builds
+        # it, against the dense tridiagonal's; d and e are left as they were
+        rng = np.random.default_rng(7)
+        for k in range(1, 81):
+            alpha, beta = rng.uniform(0.1, 1.0, (2, k))
+            d = alpha ** 2
+            d[:-1] += beta[:-1] ** 2
+            e = beta[:-1] * alpha[1:]
+            d_in, e_in = d.copy(), e.copy()
+            theta, y_k = qa.inversion._top_left(d, e)
+            lam, vecs = np.linalg.eigh(
+                np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            assert abs(theta - np.sqrt(lam[-1])) <= 1e-14 * theta, k
+            assert abs(abs(y_k) - abs(vecs[-1, -1])) <= 1e-12, k
+            assert np.array_equal(d, d_in) and np.array_equal(e, e_in), k
 
     def test_step_bound(self, monkeypatch):
         A = np.diag(np.linspace(1.0, 2.0, 50))
