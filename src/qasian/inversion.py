@@ -285,7 +285,10 @@ class SpaceTimeSystem:
         runs are those of AB_inv and W_inv with the orthogonal V^T left
         off every output: the same norms from fewer dgemm calls.
         """
-        start = _start_vector(self.spec.dim).reshape(self.shape)
+        # Fortran order, the layout dgemm takes, spares the forward
+        # products a transposing copy of their input
+        start = np.asfortranarray(
+            _start_vector(self.spec.dim).reshape(self.shape))
         norm_B = _norm2(self.B, start)
         norm_AB_inv = _norm2(self.AB_inv_schur, start)
         # ||A^-1|| = ||A2^-1||, the reciprocal of A2's smallest eigenvalue
