@@ -72,7 +72,10 @@ def lcu(terms, dim_system):
 
     terms: sequence of (coefficient, unitary).  Uses a = ceil(log2(L))
     prepare ancillas (0 for a single term); alpha = sum |coefficients|.
-    Complex coefficient phases are folded into the selected unitaries.
+    Complex coefficient phases are folded into the selected unitaries,
+    and the 2^a - L unused select slots hold the identity.  The unitary
+    P^T SELECT P is formed block by block: with P the real prepare
+    unitary, its (i, j) system block is sum_k P[k, i] P[k, j] U_k.
     """
     terms = [(complex(c), np.asarray(U, dtype=complex)) for c, U in terms]
     if not terms:
@@ -88,32 +91,25 @@ def lcu(terms, dim_system):
                              1.0, 1, 0.0)
     L = len(terms)
     a = max(0, (L - 1).bit_length())
-    if a == 0:
-        c, U = terms[0]
-        phase = c / abs(c)
-        return BlockEncoding(phase * U, alpha, 0, 0.0)
     La = 2 ** a
     # prepare unitary: first column sqrt(|c_i|/alpha), completed by QR
-    col = np.zeros(La)
-    for i, (c, _) in enumerate(terms):
-        col[i] = math.sqrt(abs(c) / alpha)
     basis = np.eye(La)
-    basis[:, 0] = col
+    basis[:L, 0] = [math.sqrt(abs(c) / alpha) for c, _ in terms]
     P, _ = np.linalg.qr(basis)
-    # fix possible sign flip from QR so P[:,0] == col
-    if P[:, 0] @ col < 0:
+    # fix possible sign flip from QR so P[:,0] == basis[:,0]
+    if P[:, 0] @ basis[:, 0] < 0:
         P = -P
-    sel = np.zeros((La * dim_system, La * dim_system), dtype=complex)
+    select = np.empty((La, dim_system, dim_system), dtype=complex)
+    select[L:] = np.eye(dim_system)
+    for k, (c, U) in enumerate(terms):
+        select[k] = (c / abs(c) if c != 0 else 1.0) * U
+    U = np.empty((La, dim_system, La, dim_system), dtype=complex)
     for i in range(La):
-        blk = slice(i * dim_system, (i + 1) * dim_system)
-        if i < L:
-            c, U = terms[i]
-            phase = c / abs(c) if c != 0 else 1.0
-            sel[blk, blk] = phase * U
-        else:
-            sel[blk, blk] = np.eye(dim_system)
-    Pd = np.kron(P, np.eye(dim_system))
-    return BlockEncoding(Pd.conj().T @ sel @ Pd, alpha, a, 0.0)
+        # block row i, one block row at a time so no second copy is held
+        U[i] = np.tensordot(P * P[:, i:i + 1], select,
+                            axes=(0, 0)).transpose(1, 0, 2)
+    n = La * dim_system
+    return BlockEncoding(U.reshape(n, n), alpha, a, 0.0)
 
 
 def _multi_controlled_y(n, sign=+1):
@@ -142,12 +138,16 @@ def build_ctau1_encoding(spec):
     delta = spec.delta_tau1
     Y = np.array([[0.0, -1j], [1j, 0.0]])
     IY = np.kron(np.eye(N // 2), Y)
-    S = cyclic_shift(n, 1)
+
+    def shifted(M):
+        # S M S^dag: the permutation S rolls both axes by one
+        return np.roll(M, (1, 1), axis=(0, 1))
+
     terms = [
         (1j / (2 * delta), IY),
-        (1j / (2 * delta), S @ IY @ S.T),
-        (-1j / (4 * delta), S @ _multi_controlled_y(n, +1) @ S.T),
-        (+1j / (4 * delta), S @ _multi_controlled_y(n, -1) @ S.T),
+        (1j / (2 * delta), shifted(IY)),
+        (-1j / (4 * delta), shifted(_multi_controlled_y(n, +1))),
+        (+1j / (4 * delta), shifted(_multi_controlled_y(n, -1))),
     ]
     return lcu(terms, N)
 
@@ -173,8 +173,8 @@ def _z_string_matrix(mask, n):
     return np.diag((1 - 2 * parity).astype(complex))
 
 
-def encode_diagonal(op, n):
-    """LCU block-encoding of a diagonal operator via its Z-string expansion.
+def _diagonal_terms(op, n):
+    """LCU terms (coefficient, Z string) of a diagonal operator.
 
     The identity slot is always reserved (even at zero coefficient), so
     an operator supported on single-qubit Z terms uses
@@ -191,7 +191,13 @@ def encode_diagonal(op, n):
     for mask in range(1, 2 ** n):
         if abs(coeffs[mask]) > 1e-14:
             terms.append((coeffs[mask], _z_string_matrix(mask, n)))
-    return lcu(terms, 2 ** n)
+    return terms
+
+
+def encode_diagonal(op, n):
+    """LCU block-encoding of a diagonal operator via its Z-string
+    expansion (see _diagonal_terms)."""
+    return lcu(_diagonal_terms(op, n), 2 ** n)
 
 
 def encode_eta(spec):
@@ -203,72 +209,55 @@ def encode_eta(spec):
 def encode_spectral(spec):
     """Block-encoding of C^T diag(0..N-1) X S = D_eta/(pi/(2*eta_max)).
 
-    diag(0..N-1)'s encoding times the orthogonal C^T on the left and X S
-    on the right (on the system register): alpha and err are unchanged.
+    The LCU of diag(0..N-1)'s Z strings, each taken between the
+    orthogonal C^T on the left and X S on the right: alpha and the
+    ancilla count are the diagonal's.
     """
     n = spec.n_eta
-    base = encode_diagonal(np.diag(np.arange(2.0 ** n)), n)
-    anc = np.eye(2 ** base.n_anc)
-    return BlockEncoding(np.kron(anc, build_dct(n).T) @ base.unitary
-                         @ np.kron(anc, cyclic_shift(n, 1) @ build_dst(n)),
-                         base.alpha, base.n_anc, base.err)
-
-
-def _embed(U, n_anc_op, n_anc_low, dim_sys):
-    """Embed U acting on (op ancillas (x) system) with extra idle
-    ancillas of width n_anc_low inserted between them."""
-    do = 2 ** n_anc_op
-    dl = 2 ** n_anc_low
-    if n_anc_low == 0:
-        return U
-    T = np.asarray(U, dtype=complex).reshape(do, dim_sys, do, dim_sys)
-    M = np.einsum("abcd,ef->aebcfd", T, np.eye(dl, dtype=complex))
-    return M.reshape(do * dl * dim_sys, do * dl * dim_sys)
+    left = build_dct(n).T
+    right = cyclic_shift(n, 1) @ build_dst(n)
+    return lcu([(c, left @ Z @ right)
+                for c, Z in _diagonal_terms(np.diag(np.arange(2.0 ** n)), n)],
+               2 ** n)
 
 
 def be_product(u, v):
     """Encoding of the operator product (u's operator) @ (v's operator).
 
     Follows the composition rule (alpha*beta, a+b, alpha*eps + beta*delta);
-    ancillas concatenate with u's on top.
+    ancillas concatenate with u's on top, each operand idle on the
+    other's ancillas.
     """
     d = u.dim_system
     if v.dim_system != d:
         raise ValidationError("system dimensions differ")
-    Uu = _embed(u.unitary, u.n_anc, v.n_anc, d)
-    Uv = np.kron(np.eye(2 ** u.n_anc), v.unitary)
-    return BlockEncoding(Uu @ Uv,
+    Au, Av = 2 ** u.n_anc, 2 ** v.n_anc
+    U = np.einsum("axcy,eyfz->aexcfz", u.unitary.reshape(Au, d, Au, d),
+                  v.unitary.reshape(Av, d, Av, d), optimize=True)
+    n = Au * Av * d
+    return BlockEncoding(U.reshape(n, n),
                          u.alpha * v.alpha,
                          u.n_anc + v.n_anc,
                          u.alpha * v.err + v.alpha * u.err)
 
 
 def be_lincomb(d1, u, d2, v):
-    """Encoding of d1*A + d2*B via a one-qubit prepare/select stage.
+    """Encoding of d1*A + d2*B as the two-term LCU of u and v, each idle
+    on the other's ancillas.
 
     Follows (|d1|*alpha + |d2|*beta, a+b+1, |d1|*delta + |d2|*eps).
     """
     d = u.dim_system
     if v.dim_system != d:
         raise ValidationError("system dimensions differ")
-    w1 = abs(d1) * u.alpha
-    w2 = abs(d2) * v.alpha
-    alpha = w1 + w2
-    if alpha == 0:
+    if abs(d1) * u.alpha + abs(d2) * v.alpha == 0:
         raise ValidationError("zero linear combination")
-    p1 = d1 / abs(d1) if d1 != 0 else 1.0
-    p2 = d2 / abs(d2) if d2 != 0 else 1.0
-    Uu = p1 * _embed(u.unitary, u.n_anc, v.n_anc, d)
-    Uv = p2 * np.kron(np.eye(2 ** u.n_anc), v.unitary)
-    sub = Uu.shape[0]
-    sel = np.zeros((2 * sub, 2 * sub), dtype=complex)
-    sel[:sub, :sub] = Uu
-    sel[sub:, sub:] = Uv
-    theta = np.array([[math.sqrt(w1 / alpha), -math.sqrt(w2 / alpha)],
-                      [math.sqrt(w2 / alpha), math.sqrt(w1 / alpha)]])
-    P = np.kron(theta, np.eye(sub))
-    return BlockEncoding(P.T @ sel @ P,
-                         alpha,
+    Uu = be_product(u, BlockEncoding(np.eye(2 ** v.n_anc * d), 1.0,
+                                     v.n_anc, 0.0)).unitary
+    Uv = be_product(BlockEncoding(np.eye(2 ** u.n_anc * d), 1.0,
+                                  u.n_anc, 0.0), v).unitary
+    be = lcu([(d1 * u.alpha, Uu), (d2 * v.alpha, Uv)], len(Uu))
+    return BlockEncoding(be.unitary, be.alpha,
                          u.n_anc + v.n_anc + 1,
                          abs(d1) * u.err + abs(d2) * v.err)
 

@@ -61,8 +61,6 @@ PRESETS = {
     # the coarsest spatial grid
     "smoke": {"n_eta": 3, "params": {"sigma": 0.5},
               "extraction": {"M_eta": 4, "M_tau1": 2}},
-    "kink-study": {"n_eta": 5, "params": {"sigma": 0.5},
-                   "extraction": {"M_eta": 6, "M_tau1": 3}},
 }
 
 
@@ -178,7 +176,6 @@ def _spec(cfg, params):
         if not params.sigma > 0:
             raise ValidationError(f"sigma must be > 0, got {params.sigma!r}")
         return grid.grid_spec_direct(params, cfg["n_eta"], cfg["n_tau1"],
-                                     eps_target=cfg["eps_target"],
                                      Delta=cfg["extraction"]["Delta"])
     return grid.make_grid(params, cfg["n_eta"], cfg["eps_target"],
                           scale_c=cfg["scale_c"], band=cfg["band"],

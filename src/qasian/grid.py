@@ -115,7 +115,6 @@ class GridSpec:
     delta_eta: float
     delta_tau1: float
     Delta: float
-    eps_target: float
 
     @property
     def N_eta(self):
@@ -216,14 +215,13 @@ def make_grid(params, n_eta, eps_target, scale_c=1.0, band=1.5, c_smooth=1.0,
         smooth_ok = (params.T * params.sigma ** 2 * N_eta ** 2 / 2 ** n_tau1
                      >= c_smooth * log_term)
         if in_band and smooth_ok:
-            return grid_spec_direct(params, n_eta, n_tau1,
-                                    eps_target=eps_target, Delta=Delta)
+            return grid_spec_direct(params, n_eta, n_tau1, Delta=Delta)
     raise InfeasibleScaleError(
         f"no n_tau1 <= {N_TAU1_CAP} satisfies the spacing band and the "
         f"smoothing inequality for n_eta={n_eta}, eps={eps_target}")
 
 
-def grid_spec_direct(params, n_eta, n_tau1, eps_target=1e-3, Delta=None):
+def grid_spec_direct(params, n_eta, n_tau1, Delta=None):
     """Build a GridSpec with an explicitly chosen time register.
 
     Used by oracles, convergence studies and tests that need to pin both
@@ -244,7 +242,6 @@ def grid_spec_direct(params, n_eta, n_tau1, eps_target=1e-3, Delta=None):
         delta_eta=params.eta_max * delta_hat,
         delta_tau1=params.T / (2 ** n_tau1 + 1),
         Delta=Delta,
-        eps_target=eps_target,
     )
 
 

@@ -316,7 +316,7 @@ def _inverse(solve_schur, G_in, G_out):
         Z = solve_schur(X, G_first, adjoint)
         if G_last is None:
             # Z is the sweep's workspace: the result is a copy of it
-            return np.array(Z, order="C")
+            return np.array(Z, order="F")
         return dgemm(1.0, Z, G_last, trans_b=1)
     return on_grid
 

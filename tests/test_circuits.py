@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -191,6 +193,103 @@ class TestComposition:
         gap = np.linalg.norm(prod.top_block() - target, 2)
         assert gap <= prod.err + 1e-10
 
+
+def _swap(d1, d2):
+    """Permutation |x>|y> -> |y>|x> for registers of sizes d1, d2."""
+    S = np.zeros((d1 * d2, d1 * d2))
+    for x in range(d1):
+        for y in range(d2):
+            S[y * d1 + x, x * d2 + y] = 1.0
+    return S
+
+
+def _random_encoding(n_anc, seed, alpha=1.0, d=4):
+    return qa.BlockEncoding(random_unitary(2 ** n_anc * d, seed), alpha,
+                            n_anc, 0.0)
+
+
+def _prepare(coeffs):
+    """The prepare unitary lcu completes from sqrt(|c_k|/alpha)."""
+    La = 2 ** max(0, (len(coeffs) - 1).bit_length())
+    basis = np.eye(La)
+    basis[:len(coeffs), 0] = np.sqrt(np.abs(coeffs) / np.sum(np.abs(coeffs)))
+    P, _ = np.linalg.qr(basis)
+    return -P if P[:, 0] @ basis[:, 0] < 0 else P
+
+
+class TestCompositionWithAncillas:
+    """Encodings with ancillas on both operands against the dense kron
+    formulas: (U_u (x) I between ancillas and system)(I (x) U_v) for the
+    product, (P^T (x) I) blockdiag(U_k) (P (x) I) for the LCU."""
+
+    @pytest.mark.parametrize("a_u,a_v", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_product_matches_kron_formula(self, a_u, a_v):
+        d = 4
+        u = _random_encoding(a_u, 10 + a_u, alpha=2.0)
+        v = _random_encoding(a_v, 20 + a_v, alpha=3.0)
+        Au, Av = 2 ** a_u, 2 ** a_v
+        idle = np.kron(np.eye(Au), _swap(d, Av))
+        ref = (idle @ np.kron(u.unitary, np.eye(Av)) @ idle.T
+               @ np.kron(np.eye(Au), v.unitary))
+        prod = qa.be_product(u, v)
+        assert prod.n_anc == a_u + a_v
+        assert prod.alpha == 6.0
+        assert np.max(np.abs(prod.unitary - ref)) < 1e-13
+
+    @pytest.mark.parametrize("coeffs", [
+        [0.7, -1.2j, 0.4 + 0.3j],
+        [0.5, 0.0, -2.0, 1.0j, 0.25 - 0.5j],
+    ])
+    def test_lcu_matches_kron_formula(self, coeffs):
+        d = 8
+        us = [random_unitary(d, 30 + k) for k in range(len(coeffs))]
+        be = qa.lcu(list(zip(coeffs, us)), d)
+        P = _prepare(coeffs)
+        La = len(P)
+        select = np.zeros((La * d, La * d), dtype=complex)
+        for k in range(La):
+            c = coeffs[k] if k < len(coeffs) else 0.0
+            phase = c / abs(c) if c != 0 else 1.0
+            select[k * d:(k + 1) * d, k * d:(k + 1) * d] = (
+                phase * us[k] if k < len(coeffs) else np.eye(d))
+        ref = np.kron(P.T, np.eye(d)) @ select @ np.kron(P, np.eye(d))
+        assert be.n_anc == int(np.log2(La))
+        assert be.alpha == pytest.approx(np.sum(np.abs(coeffs)))
+        assert np.max(np.abs(be.unitary - ref)) < 1e-13
+        assert np.max(np.abs(be.top_block()
+                             - sum(c * U for c, U in zip(coeffs, us)))) < 1e-12
+
+    @pytest.mark.parametrize("a_u,a_v", [(1, 2), (2, 1), (2, 2)])
+    def test_lincomb_top_block_and_unitarity(self, a_u, a_v):
+        u = _random_encoding(a_u, 40 + a_u, alpha=1.5)
+        v = _random_encoding(a_v, 50 + a_v, alpha=0.5)
+        d1, d2 = 0.8, -1.0 + 0.5j
+        bl = qa.be_lincomb(d1, u, d2, v)
+        assert bl.n_anc == a_u + a_v + 1
+        assert np.max(np.abs(bl.top_block() - (d1 * u.top_block()
+                                               + d2 * v.top_block()))) < 1e-12
+        U = bl.unitary
+        assert np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) < 1e-12
+
+
+class TestEncodingMemory:
+    """An encoding's build holds at most 3x its own unitary at once: the
+    LCU is formed block by block, with no dense sandwich products."""
+
+    @pytest.mark.parametrize("build,n_eta,n_tau1", [
+        (qa.encode_spectral, 7, 1),
+        (qa.encode_eta, 7, 1),
+        (qa.build_ctau1_encoding, 2, 8),
+    ])
+    def test_peak_within_three_unitaries(self, build, n_eta, n_tau1):
+        spec = qa.grid_spec_direct(params(), n_eta, n_tau1)
+        tracemalloc.start()
+        try:
+            be = build(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * be.unitary.nbytes
 
 def _dilate(A):
     """Exact unitary dilation of a contraction (helper for tests)."""
