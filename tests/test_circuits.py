@@ -241,7 +241,7 @@ class TestCompositionWithAncillas:
         [0.5, 0.0, -2.0, 1.0j, 0.25 - 0.5j],
     ])
     def test_lcu_matches_kron_formula(self, coeffs):
-        d = 8
+        d = 4
         us = [random_unitary(d, 30 + k) for k in range(len(coeffs))]
         be = qa.lcu(list(zip(coeffs, us)), d)
         P = _prepare(coeffs)
